@@ -528,20 +528,18 @@ func BenchmarkLTLEngineThroughput(b *testing.B) {
 // and fails if the two runs' digests diverge — CI's cheap probe that
 // parallelism stays a pure performance change.
 func BenchmarkShardedVsSequential(b *testing.B) {
-	cfg := DefaultScaleConfig(8)
-	cfg.HostsPerTOR = 8
-	cfg.TORsPerPod = 4
-	cfg.PingsPerPair = 60
-	cfg.MeanGap = 20 * Microsecond
-	cfg.Duration = 5 * Millisecond
-	cfg.BackgroundUtil = 0.02
-	cfg.Workers = 1
-	seq := RunScalePoint(cfg)
+	w := DefaultPingMesh()
+	w.PingsPerPair = 60
+	w.MeanGap = 20 * Microsecond
+	w.BackgroundUtil = 0.02
+	cfg := ShardedConfig{Seed: 16, Pods: 8, HostsPerTOR: 8, TORsPerPod: 4,
+		Duration: 5 * Millisecond, Workers: 1, Workload: w}
+	seq := RunSharded(cfg)
 	cfg.Workers = scaleWorkers() // one per core (min 2: keep the parallel path hot)
 	b.ResetTimer()
-	var par ScaleResult
+	var par ShardedResult
 	for i := 0; i < b.N; i++ {
-		par = RunScalePoint(cfg)
+		par = RunSharded(cfg)
 	}
 	b.StopTimer()
 	if par.Digest != seq.Digest {

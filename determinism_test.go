@@ -1,6 +1,7 @@
 package configcloud
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/ranking"
-	"repro/internal/sim/shard"
 	"repro/internal/svclb"
 	"repro/internal/sweep"
 )
@@ -153,12 +153,6 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 	}
 }
 
-// The sharded kernel's headline guarantee (ROADMAP: conservative-
-// lookahead PDES): the worker count AND the coordination engine change
-// only the wall clock. Every (engine, workers) combination must match
-// the single-worker run of the same partition bit for bit — same
-// behaviour digest (per-pair ping counts and RTTs, event and crossing
-// totals) and byte-identical telemetry JSONL.
 // raiseGOMAXPROCS lifts scheduler parallelism for one test so that
 // multi-worker shard-group runs spawn real goroutines (the group
 // clamps its pool to GOMAXPROCS) and the race detector sees them.
@@ -172,216 +166,173 @@ func raiseGOMAXPROCS(t *testing.T, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-func TestShardedScaleDeterminism(t *testing.T) {
+// runTraced runs cfg with telemetry on and returns the result and its
+// telemetry JSONL.
+func runTraced(t *testing.T, cfg ShardedConfig, spanLimit int) (ShardedResult, string) {
+	t.Helper()
+	cfg.Telemetry = true
+	cfg.SpanLimit = spanLimit
+	res := RunSharded(cfg)
+	var b strings.Builder
+	if err := obs.EncodeAll(&b, []*obs.Record{res.Record}); err != nil {
+		t.Fatal(err)
+	}
+	return res, b.String()
+}
+
+// shardedCase is one sharded scenario with its pinned single-worker
+// digest and telemetry hash.
+type shardedCase struct {
+	name   string
+	cfg    ShardedConfig
+	digest uint64
+	telSHA string // sha256 of the telemetry JSONL
+}
+
+// shardedPoint is the 3-pod, 6-hosts-per-TOR cloud every sharded
+// determinism test runs on.
+func shardedPoint(seed int64, d Time, w ShardedWorkload) ShardedConfig {
+	return ShardedConfig{Seed: seed, Pods: 3, HostsPerTOR: 6, TORsPerPod: 4, Duration: d, Workload: w}
+}
+
+// checkShardedDeterminism holds the sharded kernel's headline guarantee
+// (conservative-lookahead PDES) for each case: the worker count changes
+// only the wall clock. The run must match its single-worker run bit for
+// bit at 2/4/8 workers: same behaviour digest and byte-identical
+// telemetry JSONL. The single-worker digest and telemetry hash are
+// pinned, so a refactor of the harness or the kernel cannot move them
+// unnoticed.
+func checkShardedDeterminism(t *testing.T, cases []shardedCase) {
+	t.Helper()
 	raiseGOMAXPROCS(t, 8)
-	run := func(workers int, engine shard.Engine) (ScaleResult, string) {
-		cfg := DefaultScaleConfig(3)
-		cfg.HostsPerTOR = 6
-		cfg.TORsPerPod = 4
-		cfg.PingsPerPair = 25
-		cfg.MeanGap = 20 * Microsecond
-		cfg.Duration = 3 * Millisecond
-		cfg.BackgroundUtil = 0.01
-		cfg.Workers = workers
-		cfg.Engine = engine
-		cfg.Telemetry = true
-		cfg.SpanLimit = 3000
-		res := RunScalePoint(cfg)
-		var b strings.Builder
-		if err := obs.EncodeAll(&b, []*obs.Record{res.Record}); err != nil {
-			t.Fatal(err)
+	for _, tc := range cases {
+		cfg := tc.cfg
+		cfg.Workers = 1
+		seq, seqTel := runTraced(t, cfg, 3000)
+		// Guard against a vacuous pass before comparing anything.
+		if seq.Pings+seq.Completed == 0 {
+			t.Fatalf("%s: workload completed no pings or KV requests", tc.name)
 		}
-		return res, b.String()
-	}
-	seq, seqTel := run(1, shard.EngineChannel)
-	// Guard against a vacuous pass before comparing anything.
-	if seq.Pings == 0 {
-		t.Fatal("workload completed no pings")
-	}
-	if seq.Crossings == 0 {
-		t.Fatal("workload never crossed a shard boundary")
-	}
-	if len(seqTel) < 1000 {
-		t.Fatalf("telemetry suspiciously small (%d bytes)", len(seqTel))
-	}
-	for _, engine := range []shard.Engine{shard.EngineChannel, shard.EngineGlobal} {
-		for _, workers := range []int{1, 4} {
-			if workers == 1 && engine == shard.EngineChannel {
-				continue // the reference run itself
-			}
-			par, parTel := run(workers, engine)
-			if workers > 1 && par.Workers < 2 {
-				t.Fatalf("parallel run used %d workers", par.Workers)
+		if seq.Crossings == 0 {
+			t.Fatalf("%s: workload never crossed a shard boundary", tc.name)
+		}
+		if len(seqTel) < 1000 {
+			t.Fatalf("%s: telemetry suspiciously small (%d bytes)", tc.name, len(seqTel))
+		}
+		if _, ok := cfg.Workload.(TenantBoards); ok && (seq.ElephantSent == 0 || seq.Throttled == 0) {
+			t.Fatalf("%s: elephant tenants idle (sent=%d throttled=%d): the point is not multi-tenant",
+				tc.name, seq.ElephantSent, seq.Throttled)
+		}
+		if seq.Digest != tc.digest {
+			t.Errorf("%s: sequential digest %016x, pinned %016x", tc.name, seq.Digest, tc.digest)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(seqTel))); sum != tc.telSHA {
+			t.Errorf("%s: telemetry sha256 %s, pinned %s", tc.name, sum, tc.telSHA)
+		}
+		for _, workers := range []int{2, 4, 8} {
+			cfg.Workers = workers
+			par, parTel := runTraced(t, cfg, 3000)
+			if par.Workers < 2 {
+				t.Fatalf("%s: parallel run used %d workers", tc.name, par.Workers)
 			}
 			if seq.Digest != par.Digest {
-				t.Errorf("%v workers=%d: digest diverged from sequential %016x vs %016x (pings %d vs %d, events %d vs %d)",
-					engine, workers, seq.Digest, par.Digest, seq.Pings, par.Pings, seq.Events, par.Events)
+				t.Errorf("%s workers=%d: digest diverged from sequential %016x vs %016x (events %d vs %d)",
+					tc.name, workers, seq.Digest, par.Digest, seq.Events, par.Events)
 			}
 			if seqTel != parTel {
-				t.Errorf("%v workers=%d: telemetry JSONL diverged (%d vs %d bytes)",
-					engine, workers, len(seqTel), len(parTel))
+				t.Errorf("%s workers=%d: telemetry JSONL diverged (%d vs %d bytes)",
+					tc.name, workers, len(seqTel), len(parTel))
 			}
 		}
 	}
 }
 
-// The ISSUE 8 property test: random small topologies — random pod
+// The E16 ping mesh on the sharded kernel.
+func TestShardedScaleDeterminism(t *testing.T) {
+	ping := DefaultPingMesh()
+	ping.PingsPerPair = 25
+	ping.MeanGap = 20 * Microsecond
+	ping.BackgroundUtil = 0.01
+	checkShardedDeterminism(t, []shardedCase{
+		{"scale", shardedPoint(16, 3*Millisecond, ping), 0x045264282139d999,
+			"d64b5a50ea96b7a56bbe401ea87bf037d1272b78bdc4468d61472a73e5b34767"},
+	})
+}
+
+// The E18c KV service: base, cuckoo directory and multi-get coalescing.
+func TestNetsvcScaleDeterminism(t *testing.T) {
+	kv := DefaultKVService()
+	kv.RequestsPerClient = 50
+	cuckoo, mget := kv, kv
+	cuckoo.Cuckoo = true
+	mget.MGetBatch = 4
+	checkShardedDeterminism(t, []shardedCase{
+		{"netsvc", shardedPoint(18, 6*Millisecond, kv), 0x427f71d71f34996c,
+			"371cc6796fecfe3184caea5ccf215aada3f892e795535326f70e9d3750da3656"},
+		// Equal to the base netsvc case: 256 keys never fill the 1024x4
+		// store, so the cuckoo directory never kicks. The case stays so a
+		// change to the cuckoo path that leaks into this workload shows.
+		{"netsvc+cuckoo", shardedPoint(18, 6*Millisecond, cuckoo), 0x427f71d71f34996c,
+			"371cc6796fecfe3184caea5ccf215aada3f892e795535326f70e9d3750da3656"},
+		{"netsvc+mget4", shardedPoint(18, 6*Millisecond, mget), 0x8375c29437f42720,
+			"ba70d6e6bec7840c0f4a686e52c8e142ec3137454cb77b377a690f7813af930b"},
+	})
+}
+
+// The E19c multi-tenant boards: a KV shard slot plus a shaped elephant
+// slot, both loaded by partial reconfiguration.
+func TestTenancyScaleDeterminism(t *testing.T) {
+	tenants := DefaultTenantBoards()
+	tenants.RequestsPerClient = 30
+	checkShardedDeterminism(t, []shardedCase{
+		{"tenancy", shardedPoint(19, 16*Millisecond, tenants), 0xe2d4ae3aa2cb7514,
+			"f4703e11a25432bad3a141b9f413992199b5c510ca775cc9a618b360615218e9"},
+	})
+}
+
+// Property test over random small topologies — random pod
 // counts, random L1<->L2 cable delays and per-pod spreads (the raw
-// material for per-channel lookahead), random cross-traffic — run
-// sequentially, on the global-lookahead barrier engine, and on the
-// channel-aware asynchronous engine at 1/2/4/8 workers. Every run must
-// produce the same digest and byte-identical telemetry JSONL as the
-// sequential reference.
-func TestShardEngineRandomTopologyProperty(t *testing.T) {
+// material for per-channel lookahead), random cross-traffic — run at
+// 1/2/4/8 workers. Every run must produce the same digest and
+// byte-identical telemetry JSONL as the sequential reference.
+func TestShardRandomTopologyProperty(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 9 sharded clouds per trial")
+		t.Skip("runs 4 sharded clouds per trial")
 	}
 	raiseGOMAXPROCS(t, 8)
 	rng := rand.New(rand.NewSource(816))
 	for trial := 0; trial < 3; trial++ {
-		cfg := DefaultScaleConfig(1 + rng.Intn(4))
-		cfg.Seed = int64(1000 + trial)
+		cfg := ShardedConfig{Seed: int64(1000 + trial), Pods: 1 + rng.Intn(4)}
+		w := DefaultPingMesh()
 		cfg.HostsPerTOR = 4 + rng.Intn(4)
 		cfg.TORsPerPod = 4
-		cfg.IntraPairsPerPod = 1 + rng.Intn(2)
-		cfg.CrossPairsPerPod = 1 + rng.Intn(2)
-		cfg.PingsPerPair = 10 + rng.Intn(15)
-		cfg.MeanGap = 15 * Microsecond
+		w.IntraPairsPerPod = 1 + rng.Intn(2)
+		w.CrossPairsPerPod = 1 + rng.Intn(2)
+		w.PingsPerPair = 10 + rng.Intn(15)
+		w.MeanGap = 15 * Microsecond
 		cfg.Duration = 2 * Millisecond
-		cfg.BackgroundUtil = 0.005 * float64(rng.Intn(3))
+		w.BackgroundUtil = 0.005 * float64(rng.Intn(3))
 		cfg.L1UplinkProp = Time(200 + rng.Intn(1500))
 		cfg.L2CableSpread = Time(rng.Intn(1200))
-		cfg.Telemetry = true
-		cfg.SpanLimit = 2000
+		cfg.Workload = w
 		label := fmt.Sprintf("trial=%d pods=%d hosts/tor=%d prop=%d spread=%d",
 			trial, cfg.Pods, cfg.HostsPerTOR, cfg.L1UplinkProp, cfg.L2CableSpread)
 
-		run := func(workers int, engine shard.Engine) (ScaleResult, string) {
-			c := cfg
-			c.Workers = workers
-			c.Engine = engine
-			res := RunScalePoint(c)
-			var b strings.Builder
-			if err := obs.EncodeAll(&b, []*obs.Record{res.Record}); err != nil {
-				t.Fatal(err)
-			}
-			return res, b.String()
-		}
-		ref, refTel := run(1, shard.EngineChannel)
+		cfg.Workers = 1
+		ref, refTel := runTraced(t, cfg, 2000)
 		if ref.Pings == 0 || ref.Crossings == 0 {
 			t.Fatalf("%s: vacuous workload (pings=%d crossings=%d)", label, ref.Pings, ref.Crossings)
 		}
-		for _, engine := range []shard.Engine{shard.EngineGlobal, shard.EngineChannel} {
-			for _, workers := range []int{1, 2, 4, 8} {
-				if workers == 1 && engine == shard.EngineChannel {
-					continue
-				}
-				got, gotTel := run(workers, engine)
-				if got.Digest != ref.Digest {
-					t.Errorf("%s: %v workers=%d digest %016x, sequential %016x",
-						label, engine, workers, got.Digest, ref.Digest)
-				}
-				if gotTel != refTel {
-					t.Errorf("%s: %v workers=%d telemetry diverged (%d vs %d bytes)",
-						label, engine, workers, len(gotTel), len(refTel))
-				}
+		for _, workers := range []int{2, 4, 8} {
+			cfg.Workers = workers
+			got, gotTel := runTraced(t, cfg, 2000)
+			if got.Digest != ref.Digest {
+				t.Errorf("%s: workers=%d digest %016x, sequential %016x",
+					label, workers, got.Digest, ref.Digest)
 			}
-		}
-	}
-}
-
-// The KV service inherits the sharded kernel's guarantee: running the
-// same KV workload (clients, shards, and closed-loop request chains
-// spread across pods) on one worker or many must agree bit for bit —
-// same completion-stream digest and byte-identical telemetry JSONL.
-// This is E18's "seq-vs-sharded digest determinism" acceptance check.
-func TestNetsvcScaleDeterminism(t *testing.T) {
-	raiseGOMAXPROCS(t, 8)
-	run := func(workers int, engine shard.Engine) (NetsvcScaleResult, string) {
-		cfg := DefaultNetsvcScaleConfig(3)
-		cfg.HostsPerTOR = 6
-		cfg.TORsPerPod = 4
-		cfg.RequestsPerClient = 50
-		cfg.Duration = 6 * Millisecond
-		cfg.Workers = workers
-		cfg.Engine = engine
-		cfg.Telemetry = true
-		cfg.SpanLimit = 3000
-		res := RunNetsvcScalePoint(cfg)
-		var b strings.Builder
-		if err := obs.EncodeAll(&b, []*obs.Record{res.Record}); err != nil {
-			t.Fatal(err)
-		}
-		return res, b.String()
-	}
-	seq, seqTel := run(1, shard.EngineChannel)
-	par, parTel := run(4, shard.EngineChannel)
-	barrier, barrierTel := run(4, shard.EngineGlobal)
-	if seq.Digest != barrier.Digest || seqTel != barrierTel {
-		t.Errorf("global-lookahead engine diverged from sequential: digest %016x vs %016x, telemetry %d vs %d bytes",
-			barrier.Digest, seq.Digest, len(barrierTel), len(seqTel))
-	}
-	if seq.Completed == 0 {
-		t.Fatal("workload completed no KV requests")
-	}
-	if seq.Crossings == 0 {
-		t.Fatal("workload never crossed a shard boundary")
-	}
-	if len(seqTel) < 1000 {
-		t.Fatalf("telemetry suspiciously small (%d bytes)", len(seqTel))
-	}
-	if par.Workers < 2 {
-		t.Fatalf("parallel run used %d workers", par.Workers)
-	}
-	if seq.Digest != par.Digest {
-		t.Errorf("digest diverged: sequential %016x, parallel %016x (completed %d vs %d, events %d vs %d)",
-			seq.Digest, par.Digest, seq.Completed, par.Completed, seq.Events, par.Events)
-	}
-	if seqTel != parTel {
-		t.Errorf("telemetry JSONL diverged between worker counts (%d vs %d bytes)",
-			len(seqTel), len(parTel))
-	}
-
-	// The cuckoo directory and multi-get coalescing must be exactly as
-	// worker-count- and engine-independent as the base service: each
-	// variant's digest is compared across 1/2/4/8 workers and both shard
-	// engines.
-	variants := []struct {
-		name string
-		mut  func(*NetsvcScaleConfig)
-	}{
-		{"cuckoo", func(c *NetsvcScaleConfig) { c.Cuckoo = true }},
-		{"mget4", func(c *NetsvcScaleConfig) { c.MGetBatch = 4 }},
-	}
-	points := []struct {
-		workers int
-		engine  shard.Engine
-	}{
-		{1, shard.EngineChannel}, {2, shard.EngineGlobal},
-		{4, shard.EngineChannel}, {8, shard.EngineGlobal},
-	}
-	for _, v := range variants {
-		var ref NetsvcScaleResult
-		for i, pt := range points {
-			cfg := DefaultNetsvcScaleConfig(3)
-			cfg.HostsPerTOR = 6
-			cfg.TORsPerPod = 4
-			cfg.RequestsPerClient = 50
-			cfg.Duration = 6 * Millisecond
-			cfg.Workers = pt.workers
-			cfg.Engine = pt.engine
-			v.mut(&cfg)
-			res := RunNetsvcScalePoint(cfg)
-			if res.Completed == 0 {
-				t.Fatalf("%s: no completions at workers=%d engine=%v", v.name, pt.workers, pt.engine)
-			}
-			if i == 0 {
-				ref = res
-				continue
-			}
-			if res.Digest != ref.Digest || res.Completed != ref.Completed {
-				t.Errorf("%s: workers=%d engine=%v diverged: digest %016x vs %016x (completed %d vs %d)",
-					v.name, pt.workers, pt.engine, res.Digest, ref.Digest, res.Completed, ref.Completed)
+			if gotTel != refTel {
+				t.Errorf("%s: workers=%d telemetry diverged (%d vs %d bytes)",
+					label, workers, len(gotTel), len(refTel))
 			}
 		}
 	}
@@ -389,7 +340,7 @@ func TestNetsvcScaleDeterminism(t *testing.T) {
 
 // The wall-free E19 tables (pool packing, noisy neighbor) render
 // byte-identically run over run; E19c carries wall-clock columns and is
-// covered by the digest test below instead.
+// covered by TestTenancyScaleDeterminism instead.
 func TestTenancyTableDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the tenancy experiment twice")
@@ -399,66 +350,6 @@ func TestTenancyTableDeterminism(t *testing.T) {
 	}
 	if a, b := render(), render(); a != b {
 		t.Errorf("tenancy tables are non-deterministic:\n--- run 1\n%s\n--- run 2\n%s", a, b)
-	}
-}
-
-// The E19 acceptance check: the multi-tenant board — KV shard slot plus
-// a shaped elephant slot, both loaded by partial reconfiguration — runs
-// on the sharded kernel with the same guarantee as every other workload:
-// worker count and coordination engine change only the wall clock. Same
-// digest (client completion streams + elephant send/throttle totals) and
-// byte-identical telemetry JSONL across 1/4 workers and both engines.
-func TestTenancyScaleDeterminism(t *testing.T) {
-	raiseGOMAXPROCS(t, 8)
-	run := func(workers int, engine shard.Engine) (TenancyScaleResult, string) {
-		cfg := DefaultTenancyScaleConfig(3)
-		cfg.HostsPerTOR = 6
-		cfg.TORsPerPod = 4
-		cfg.RequestsPerClient = 30
-		cfg.Duration = 16 * Millisecond
-		cfg.Workers = workers
-		cfg.Engine = engine
-		cfg.Telemetry = true
-		cfg.SpanLimit = 3000
-		res := RunTenancyScalePoint(cfg)
-		var b strings.Builder
-		if err := obs.EncodeAll(&b, []*obs.Record{res.Record}); err != nil {
-			t.Fatal(err)
-		}
-		return res, b.String()
-	}
-	seq, seqTel := run(1, shard.EngineChannel)
-	if seq.Completed == 0 {
-		t.Fatal("workload completed no KV requests")
-	}
-	if seq.Crossings == 0 {
-		t.Fatal("workload never crossed a shard boundary")
-	}
-	if seq.ElephantSent == 0 || seq.Throttled == 0 {
-		t.Fatalf("elephant tenants idle (sent=%d throttled=%d): the point is not multi-tenant",
-			seq.ElephantSent, seq.Throttled)
-	}
-	if len(seqTel) < 1000 {
-		t.Fatalf("telemetry suspiciously small (%d bytes)", len(seqTel))
-	}
-	for _, engine := range []shard.Engine{shard.EngineChannel, shard.EngineGlobal} {
-		for _, workers := range []int{1, 4} {
-			if workers == 1 && engine == shard.EngineChannel {
-				continue // the reference run itself
-			}
-			par, parTel := run(workers, engine)
-			if workers > 1 && par.Workers < 2 {
-				t.Fatalf("parallel run used %d workers", par.Workers)
-			}
-			if seq.Digest != par.Digest {
-				t.Errorf("%v workers=%d: digest diverged %016x vs %016x (completed %d vs %d, events %d vs %d)",
-					engine, workers, seq.Digest, par.Digest, seq.Completed, par.Completed, seq.Events, par.Events)
-			}
-			if seqTel != parTel {
-				t.Errorf("%v workers=%d: telemetry JSONL diverged (%d vs %d bytes)",
-					engine, workers, len(seqTel), len(parTel))
-			}
-		}
 	}
 }
 

@@ -73,11 +73,6 @@ var (
 	ErrBadOp     = errors.New("kvcache: unknown op")
 )
 
-// EncodeReq serializes a request.
-func EncodeReq(r Req) []byte {
-	return AppendReq(make([]byte, 0, 13+len(r.Key)+len(r.Val)), r)
-}
-
 // AppendReq serializes a request into dst's storage (the zero-alloc send
 // path: clients reuse one encode buffer per request).
 func AppendReq(dst []byte, r Req) []byte {
@@ -128,11 +123,6 @@ func DecodeReq(buf []byte) (Req, error) {
 	}
 	r.Val = buf[off+2 : off+2+vl]
 	return r, nil
-}
-
-// EncodeResp serializes a reply.
-func EncodeResp(r Resp) []byte {
-	return AppendResp(make([]byte, 0, 11+len(r.Val)), r)
 }
 
 // AppendResp serializes a reply into dst's storage (the zero-alloc shard

@@ -96,9 +96,6 @@ func (sw *Switch) Port(i int) *Port { return sw.ports[i] }
 // NumPorts returns the switch radix.
 func (sw *Switch) NumPorts() int { return len(sw.ports) }
 
-// SetRoute replaces the routing function.
-func (sw *Switch) SetRoute(r RouteFunc) { sw.cfg.Route = r }
-
 // HandleFrame implements Device: PFC frames adjust local pause state;
 // data frames are routed and forwarded after the pipeline latency.
 func (sw *Switch) HandleFrame(p *Port, packet *Packet) {

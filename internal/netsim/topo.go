@@ -151,9 +151,8 @@ func NewDatacenter(s *sim.Simulation, cfg Config) *Datacenter {
 // must be positive. On top of that floor each pod's pair of directed
 // spine channels gets a per-channel lookahead of the pod's real cable
 // delay — base prop plus that pod's deterministic length spread
-// (podUplinkProp) — so the channel-aware engine (shard.EngineChannel)
-// grants long-cable pods their actual slack instead of the global
-// worst case. The whole fabric an experiment touches must be
+// (podUplinkProp) — so the shard engine grants long-cable pods their
+// actual slack instead of the global worst case. The whole fabric an experiment touches must be
 // instantiated before the group runs: lazy instantiation registers
 // cross-shard outboxes, which is a construction-time operation.
 func NewShardedDatacenter(g *shard.Group, cfg Config) *Datacenter {

@@ -61,11 +61,6 @@ var (
 	ErrBadMethod = errors.New("rpcnic: unknown method")
 )
 
-// EncodeReq serializes one RPC request.
-func EncodeReq(r Req) []byte {
-	return AppendReq(make([]byte, 0, 14+len(r.Args)), r)
-}
-
 // AppendReq serializes one RPC request into dst's storage — the
 // zero-alloc variant for senders with a reused scratch buffer (LTL's
 // SendDatagram copies synchronously, so one buffer per sender suffices).
@@ -119,11 +114,6 @@ type Resp struct {
 	Method byte
 	ID     uint64
 	Ret    []byte
-}
-
-// EncodeResp serializes one response.
-func EncodeResp(r Resp) []byte {
-	return AppendResp(make([]byte, 0, 13+len(r.Ret)), r)
 }
 
 // AppendResp serializes one response into dst's storage (zero-alloc

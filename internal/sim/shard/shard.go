@@ -6,41 +6,32 @@
 // cross a shard boundary travel through per-directed-pair Outboxes
 // (channels) instead of being scheduled directly.
 //
-// Two engines share one merge rule:
+// The engine is fully asynchronous ("channel-aware"). Every channel
+// carries its own lookahead — the minimum virtual latency of that
+// specific edge — and publishes an earliest-output time (EOT): a promise
+// that no future message on the channel arrives before it. Each shard
+// derives its safe horizon H from only its in-channel EOTs (H = min over
+// in-EOTs), executes up to H-1, then republishes its own EOTs as
+// lb + lookahead, where lb is a lower bound on its next action (min of
+// its wheel, its pending in-messages, and H itself). Rising EOTs gossip
+// through the channel graph as wakeups; shards with nothing to do park
+// and cost nothing. There is no group-wide barrier: a shard never waits
+// on a channel that cannot reach it.
 //
-//   - EngineChannel (default, "channel-aware"): fully asynchronous.
-//     Every channel carries its own lookahead — the minimum virtual
-//     latency of that specific edge — and publishes an earliest-output
-//     time (EOT): a promise that no future message on the channel
-//     arrives before it. Each shard derives its safe horizon H from
-//     only its in-channel EOTs (H = min over in-EOTs), executes up to
-//     H-1, then republishes its own EOTs as lb + lookahead, where lb
-//     is a lower bound on its next action (min of its wheel, its
-//     pending in-messages, and H itself). Rising EOTs gossip through
-//     the channel graph as wakeups; shards with nothing to do park and
-//     cost nothing. There is no group-wide barrier: a shard never
-//     waits on a channel that cannot reach it.
-//
-//   - EngineGlobal ("global-lookahead"): the barrier-synchronous
-//     baseline. Each round the coordinator computes the earliest
-//     pending event time T across all shards and lets every shard
-//     with work execute events in [T, T+minLookahead-1] concurrently,
-//     where minLookahead is the minimum lookahead of any channel.
-//
-// Both engines consume cross-shard messages with the same canonical
-// interleave: per destination, the wheel is advanced in bulk to just
-// before the earliest pending in-message (ordered by arrival time,
-// then source shard, then source sequence), which is then inserted and
-// overtaken. The resulting event order is a pure function of the model
-// — (time, shard, seq) — and never of where an engine happened to
-// pause, so a run with W workers on either engine is bit-identical to
-// the same partition run sequentially.
+// Cross-shard messages are consumed with one canonical interleave: per
+// destination, the wheel is advanced in bulk to just before the
+// earliest pending in-message (ordered by arrival time, then source
+// shard, then source sequence), which is then inserted and overtaken.
+// The resulting event order is a pure function of the model — (time,
+// shard, seq) — and never of where a shard happened to pause, so a run
+// with W workers is bit-identical to the same partition run
+// sequentially.
 //
 // Determinism contract: the partition is part of the model, not of the
-// execution. Varying the worker count or the engine never changes
-// results; varying the partition (a different shard count or
-// assignment) is a different model with different RNG streams, exactly
-// like changing a topology parameter.
+// execution. Varying the worker count never changes results; varying
+// the partition (a different shard count or assignment) is a different
+// model with different RNG streams, exactly like changing a topology
+// parameter.
 package shard
 
 import (
@@ -56,27 +47,6 @@ import (
 )
 
 const maxTime = sim.Time(1<<63 - 1)
-
-// Engine selects the coordination strategy. Both engines produce
-// bit-identical results; they differ only in synchronization cost.
-type Engine int
-
-const (
-	// EngineChannel is the asynchronous channel-aware engine:
-	// per-channel lookaheads, EOT gossip, no barrier.
-	EngineChannel Engine = iota
-	// EngineGlobal is the barrier-synchronous engine bounded by the
-	// single worst-case (minimum) channel lookahead.
-	EngineGlobal
-)
-
-// String returns the engine's experiment-facing name.
-func (e Engine) String() string {
-	if e == EngineGlobal {
-		return "global-lookahead"
-	}
-	return "channel-aware"
-}
 
 // xmsg is one cross-shard event: fn(arg) due at absolute time at on the
 // destination shard. seq is the per-channel send sequence; together
@@ -204,8 +174,7 @@ func (o *Outbox) popMsg() xmsg {
 	return root
 }
 
-// Shard scheduling states for the asynchronous engine's park/wake
-// protocol. The transitions are lock-free so a notify can never be
+// Shard scheduling states for the park/wake protocol. The transitions are lock-free so a notify can never be
 // lost: IDLE -CAS-> QUEUED (notifier enqueues), QUEUED -> RUNNING
 // (worker pops), RUNNING -CAS-> DIRTY (notify during a step; the
 // worker loops instead of parking), RUNNING -CAS-> IDLE (park), and
@@ -229,11 +198,10 @@ type shardState struct {
 	parkNs   atomic.Int64 // accumulated park time this run (wall ns)
 
 	hp    []*Outbox // channel tournament heap scratch
-	next  sim.Time  // barrier-engine per-round earliest pending time
 	limit sim.Time  // last safe horizon executed to
 	lastH sim.Time  // horizon at the last full step (-1 = none this run)
 
-	steps  uint64 // scheduler steps this run (wall-dependent in async mode)
+	steps  uint64 // scheduler steps this run (wall-dependent)
 	gossip uint64 // EOT publications that notified the peer this run
 
 	// Cumulative totals across runs, for ShardStats.
@@ -246,11 +214,10 @@ type shardState struct {
 }
 
 // ShardStats reports one shard's scheduler counters. Steps, EOTUpdates
-// and Parked are wall-clock-dependent in the asynchronous engine
-// (they vary with worker interleaving); Merged and Horizon are
-// deterministic.
+// and Parked are wall-clock-dependent (they vary with worker
+// interleaving); Merged and Horizon are deterministic.
 type ShardStats struct {
-	Steps      uint64        // scheduler steps / window executions
+	Steps      uint64        // scheduler steps
 	EOTUpdates uint64        // EOT publications that woke the peer
 	Parked     time.Duration // wall time spent parked while runnable peers advanced
 	Horizon    sim.Time      // last safe horizon executed to
@@ -265,7 +232,6 @@ type ShardStats struct {
 type Group struct {
 	seed      int64
 	lookahead sim.Time
-	engine    Engine
 	workers   int
 	shards    []*sim.Simulation
 	outboxes  []*Outbox // creation order
@@ -273,17 +239,12 @@ type Group struct {
 	states    []shardState
 	running   bool
 
-	// Scheduler shared state. runq is the stack of QUEUED shards;
-	// windowEnd is the barrier engine's current round bound (written by
-	// the coordinator before the round's enqueue, so the queue mutex
-	// orders it against worker reads).
-	qmu       sync.Mutex
-	qcond     sync.Cond
-	runq      []int32
-	stop      bool
-	deadline  sim.Time
-	windowEnd sim.Time
-	roundWG   sync.WaitGroup
+	// Scheduler shared state. runq is the stack of QUEUED shards.
+	qmu      sync.Mutex
+	qcond    sync.Cond
+	runq     []int32
+	stop     bool
+	deadline sim.Time
 	// single is set per run when only one goroutine will advance shards
 	// (workers or GOMAXPROCS is 1): queue and handoff mutexes are
 	// skipped, since every producer and the sole consumer share one
@@ -306,11 +267,8 @@ type Group struct {
 	mMerged   *metrics.Counter
 	pubMerged uint64
 
-	// Rounds counts barrier-engine coordinator windows (zero under the
-	// asynchronous engine, which has no rounds). Crossings counts
-	// cross-shard events merged. Both are stable for a given model +
-	// deadline; Crossings is additionally engine-independent.
-	Rounds    uint64
+	// Crossings counts cross-shard events merged; it is stable for a
+	// given model + deadline.
 	Crossings uint64
 }
 
@@ -389,8 +347,8 @@ func (g *Group) SetLookahead(l sim.Time) {
 
 // SetChannelLookahead declares the minimum virtual latency of the
 // specific src->dst edge, creating the channel if needed. Channels
-// with more slack than the group minimum give the asynchronous engine
-// proportionally wider safe horizons. l = 0 reverts to the group
+// with more slack than the group minimum give proportionally wider
+// safe horizons. l = 0 reverts to the group
 // default. Construction-time only.
 func (g *Group) SetChannelLookahead(src, dst int, l sim.Time) {
 	if l < 0 {
@@ -409,21 +367,8 @@ func (g *Group) ChannelLookahead(src, dst int) sim.Time {
 	return 0
 }
 
-// SetEngine selects the coordination engine. Both engines are
-// bit-identical; EngineChannel (the default) is faster. Fixed once
-// running.
-func (g *Group) SetEngine(e Engine) {
-	if g.running {
-		panic("shard: SetEngine while running")
-	}
-	g.engine = e
-}
-
-// Engine returns the selected coordination engine.
-func (g *Group) Engine() Engine { return g.engine }
-
 // EnableStepSpans records one "shard.step" span per executed scheduler
-// step on the shard's tracer (asynchronous engine only). Step
+// step on the shard's tracer. Step
 // boundaries depend on wall-clock worker interleaving, so these spans
 // are diagnostics: enabling them breaks the byte-identical-telemetry
 // guarantee across worker counts. Off by default.
@@ -521,7 +466,7 @@ func (g *Group) bindObs() {
 	for i := range g.states {
 		st := &g.states[i]
 		st.mSteps = reg.RuntimeCounter("shard.steps", "steps", "shard",
-			"scheduler steps taken (wall-dependent under the async engine)", new(metrics.Counter))
+			"scheduler steps taken (wall-dependent)", new(metrics.Counter))
 		st.mPark = reg.RuntimeCounter("shard.park_ns", "ns", "shard",
 			"wall time shards spent parked waiting for a safe horizon", new(metrics.Counter))
 		st.mGossip = reg.RuntimeCounter("shard.eot_updates", "updates", "shard",
@@ -576,11 +521,7 @@ func (g *Group) RunUntil(deadline sim.Time) {
 	}
 	g.bindObs()
 	g.running = true
-	if g.engine == EngineGlobal {
-		g.runGlobal(deadline)
-	} else {
-		g.runChannel(deadline)
-	}
+	g.run(deadline)
 	g.running = false
 	for _, s := range g.shards {
 		s.RunUntil(deadline)
@@ -658,13 +599,12 @@ func (g *Group) drain(j int) bool {
 	return changed
 }
 
-// advance is the canonical merge-execute loop both engines share: run
-// shard j's wheel and its pending in-messages in (time, source shard,
+// advance is the canonical merge-execute loop: run shard j's wheel and its pending in-messages in (time, source shard,
 // source sequence) order up to and including limit, leaving the wheel
 // clock at limit. The interleave is pause-point-independent — the
 // sequence of wheel operations depends only on the model's event and
-// message times, never on where a horizon or window boundary fell — so
-// every engine and worker count produces the identical wheel history.
+// message times, never on where a horizon fell — so every worker count
+// produces the identical wheel history.
 func (g *Group) advance(j int, limit sim.Time) {
 	st := &g.states[j]
 	s := g.shards[j]
@@ -795,20 +735,11 @@ func (g *Group) workerLoop() {
 		j := g.runq[len(g.runq)-1]
 		g.runq = g.runq[:len(g.runq)-1]
 		g.qmu.Unlock()
-		if g.engine == EngineGlobal {
-			g.advance(int(j), g.windowEnd)
-			g.flushBuffersOf(int(j))
-			g.roundWG.Done()
-		} else {
-			g.step(int(j))
-		}
+		g.step(int(j))
 	}
 }
 
-// ---------------------------------------------------------------------------
-// EngineChannel: asynchronous per-channel horizons with EOT gossip.
-
-// runChannel drives the asynchronous engine. EOTs are (re)initialized
+// run executes one RunUntil. EOTs are (re)initialized
 // from the global earliest pending time T0 — a floor every shard's
 // next action provably respects — and then only ever raised by their
 // owning shard, so the horizon each shard reads is always a valid
@@ -816,7 +747,7 @@ func (g *Group) workerLoop() {
 // horizon clears the deadline, or as soon as the pending count hits
 // zero (global quiescence: nothing at or below the deadline exists
 // anywhere, so the gossip need not walk EOTs the rest of the way).
-func (g *Group) runChannel(deadline sim.Time) {
+func (g *Group) run(deadline sim.Time) {
 	t0 := g.seedChannels()
 	if t0 > deadline {
 		return // nothing to execute; the caller's final sweep advances clocks
@@ -1135,140 +1066,5 @@ func (g *Group) notify(dst int32) {
 		default: // queued, dirty, or done: wakeup already pending or unneeded
 			return
 		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// EngineGlobal: barrier-synchronous windows on the minimum lookahead.
-
-// minLookahead returns the smallest effective lookahead of any channel
-// (the group default when no channels exist).
-func (g *Group) minLookahead() sim.Time {
-	min := maxTime
-	for _, o := range g.outboxes {
-		if l := o.look(); l < min {
-			min = l
-		}
-	}
-	if min == maxTime {
-		min = g.lookahead
-	}
-	return min
-}
-
-// runGlobal drives the barrier engine: lockstep windows of the single
-// worst-case lookahead. Kept as the measurable baseline the
-// channel-aware engine is compared against (E16's scaling curve); both
-// engines share advance(), so their results are bit-identical.
-func (g *Group) runGlobal(deadline sim.Time) {
-	g.seedChannels()
-	look := g.minLookahead()
-	w := g.spawnWorkers()
-	g.stop = false
-	g.single = w == 1
-	g.deadline = deadline
-	g.runq = g.runq[:0]
-	var wg sync.WaitGroup
-	for k := 0; k < w-1; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g.workerLoop()
-		}()
-	}
-	for {
-		// Single-threaded between rounds: drain handoffs and find the
-		// earliest pending event across wheels and heaps.
-		for j := range g.states {
-			g.drain(j)
-		}
-		tmin := maxTime
-		for j := range g.states {
-			t, ok := g.shards[j].NextEventTime()
-			if !ok {
-				t = maxTime
-			}
-			for _, c := range g.states[j].ins {
-				if len(c.heap) > 0 && c.heap[0].at < t {
-					t = c.heap[0].at
-				}
-			}
-			g.states[j].next = t
-			if t < tmin {
-				tmin = t
-			}
-		}
-		if tmin > deadline {
-			break
-		}
-		// The window [tmin, end] is safe: a cross-shard send fired at
-		// t >= tmin arrives no earlier than t+look > end.
-		end := satAdd(tmin, look-1)
-		if end > deadline {
-			end = deadline
-		}
-		g.windowEnd = end
-		nbusy := 0
-		for j := range g.states {
-			if g.states[j].next <= end {
-				nbusy++
-			}
-		}
-		if w == 1 || nbusy == 1 {
-			for j := range g.states {
-				if g.states[j].next <= end {
-					g.advance(j, end)
-					g.flushBuffersOf(j)
-				}
-			}
-		} else {
-			g.roundWG.Add(nbusy)
-			g.qmu.Lock()
-			for j := range g.states {
-				if g.states[j].next <= end {
-					g.runq = append(g.runq, int32(j))
-				}
-			}
-			g.qmu.Unlock()
-			g.qcond.Broadcast()
-			// The coordinator helps until the queue empties, then waits
-			// for stragglers.
-			for {
-				g.qmu.Lock()
-				if len(g.runq) == 0 {
-					g.qmu.Unlock()
-					break
-				}
-				j := g.runq[len(g.runq)-1]
-				g.runq = g.runq[:len(g.runq)-1]
-				g.qmu.Unlock()
-				g.advance(int(j), end)
-				g.flushBuffersOf(int(j))
-				g.roundWG.Done()
-			}
-			g.roundWG.Wait()
-		}
-		g.Rounds++
-	}
-	g.stopAll()
-	wg.Wait()
-}
-
-// flushBuffersOf moves shard j's staged out-messages into their
-// handoffs (no EOT bookkeeping — the barrier engine's windows are its
-// safety argument).
-func (g *Group) flushBuffersOf(j int) {
-	for _, c := range g.states[j].outs {
-		if len(c.buf) == 0 {
-			continue
-		}
-		c.mu.Lock()
-		c.msgs = append(c.msgs, c.buf...)
-		c.mu.Unlock()
-		c.news.Store(1)
-		for i := range c.buf {
-			c.buf[i] = xmsg{}
-		}
-		c.buf = c.buf[:0]
 	}
 }

@@ -33,9 +33,8 @@ type ringNode struct {
 
 const ringLookahead = sim.Time(100)
 
-func buildRingEngine(seed int64, n, workers int, e shard.Engine) *ringModel {
+func buildRing(seed int64, n, workers int) *ringModel {
 	g := shard.NewGroup(seed, n, workers)
-	g.SetEngine(e)
 	g.SetLookahead(ringLookahead)
 	m := &ringModel{g: g, logs: make([][]string, n)}
 	for i := 0; i < n; i++ {
@@ -49,10 +48,6 @@ func buildRingEngine(seed int64, n, workers int, e shard.Engine) *ringModel {
 	// Kick one token in via a locally scheduled event on shard 0.
 	m.nodes[0].s.Schedule(5, func() { m.nodes[0].token(0) })
 	return m
-}
-
-func buildRing(seed int64, n, workers int) *ringModel {
-	return buildRingEngine(seed, n, workers, shard.EngineChannel)
 }
 
 func (nd *ringNode) logf(format string, args ...any) {
@@ -86,8 +81,6 @@ func runRing(seed int64, n, workers int, until sim.Time) *ringModel {
 	return m
 }
 
-var engines = []shard.Engine{shard.EngineChannel, shard.EngineGlobal}
-
 // raiseGOMAXPROCS lifts scheduler parallelism for the duration of a
 // test. The group clamps its worker pool to GOMAXPROCS, so on a
 // single-CPU box every multi-worker run would silently collapse to
@@ -103,10 +96,9 @@ func raiseGOMAXPROCS(t *testing.T, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// The headline guarantee, now across two engines: neither the worker
-// count nor the coordination engine may change anything but the wall
-// clock. Every run is compared against the sequential channel-aware
-// run event for event.
+// The headline guarantee: the worker count may change nothing but the
+// wall clock. Every run is compared against the sequential run event
+// for event.
 func TestParallelMatchesSequential(t *testing.T) {
 	raiseGOMAXPROCS(t, 8)
 	const until = 20000
@@ -117,45 +109,26 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if seq.nodes[0].hops < 2 {
 		t.Fatalf("token visited shard 0 only %d times", seq.nodes[0].hops)
 	}
-	var globalRounds uint64
-	for _, e := range engines {
-		for _, workers := range []int{1, 2, 4, 16} {
-			m := buildRingEngine(42, 5, workers, e)
-			m.g.RunUntil(until)
-			if !reflect.DeepEqual(seq.logs, m.logs) {
-				t.Fatalf("%v workers=%d: event logs differ from sequential run", e, workers)
-			}
-			if seq.g.Fired() != m.g.Fired() {
-				t.Fatalf("%v workers=%d: fired %d events, sequential fired %d", e, workers, m.g.Fired(), seq.g.Fired())
-			}
-			if seq.g.Crossings != m.g.Crossings {
-				t.Fatalf("%v workers=%d: crossings %d, sequential %d", e, workers, m.g.Crossings, seq.g.Crossings)
-			}
-			if m.g.Now() != until {
-				t.Fatalf("%v workers=%d: group clock %d, want %d", e, workers, m.g.Now(), until)
-			}
-			switch e {
-			case shard.EngineChannel:
-				if m.g.Rounds != 0 {
-					t.Fatalf("channel-aware engine took %d barrier rounds, want 0", m.g.Rounds)
-				}
-			case shard.EngineGlobal:
-				if workers == 1 {
-					globalRounds = m.g.Rounds
-				} else if m.g.Rounds != globalRounds {
-					t.Fatalf("global engine workers=%d: %d rounds, sequential %d", workers, m.g.Rounds, globalRounds)
-				}
-			}
+	for _, workers := range []int{1, 2, 4, 16} {
+		m := runRing(42, 5, workers, until)
+		if !reflect.DeepEqual(seq.logs, m.logs) {
+			t.Fatalf("workers=%d: event logs differ from sequential run", workers)
 		}
-	}
-	if globalRounds == 0 {
-		t.Fatal("global engine took no rounds; test is vacuous")
+		if seq.g.Fired() != m.g.Fired() {
+			t.Fatalf("workers=%d: fired %d events, sequential fired %d", workers, m.g.Fired(), seq.g.Fired())
+		}
+		if seq.g.Crossings != m.g.Crossings {
+			t.Fatalf("workers=%d: crossings %d, sequential %d", workers, m.g.Crossings, seq.g.Crossings)
+		}
+		if m.g.Now() != until {
+			t.Fatalf("workers=%d: group clock %d, want %d", workers, m.g.Now(), until)
+		}
 	}
 }
 
 func TestSingleShardMatchesPlainSim(t *testing.T) {
 	// An RNG-free workload on a one-shard group must behave exactly like
-	// the plain sequential kernel: same events, same clock, no windows.
+	// the plain sequential kernel: same events, same clock.
 	build := func(s *sim.Simulation, log *[]string) {
 		var chain func()
 		n := 0
@@ -184,38 +157,32 @@ func TestSingleShardMatchesPlainSim(t *testing.T) {
 	if plain.Fired() != g.Fired() || plain.Now() != g.Now() {
 		t.Fatalf("fired/now = %d/%d vs %d/%d", g.Fired(), g.Now(), plain.Fired(), plain.Now())
 	}
-	if g.Rounds != 0 {
-		t.Fatalf("one-shard group took %d coordinator rounds, want 0", g.Rounds)
-	}
 }
 
 func TestMergeOrderIsSourceDeterministic(t *testing.T) {
 	// Two shards send to shard 0 with identical arrival times; the merge
 	// must order them by (time, source shard, source sequence) no matter
-	// how the goroutines interleave — on either engine.
-	for _, e := range engines {
-		g := shard.NewGroup(7, 3, 4)
-		g.SetEngine(e)
-		g.SetLookahead(50)
-		var got []string
-		rec := func(arg any) { got = append(got, arg.(string)) }
-		o1, o2 := g.Outbox(1, 0), g.Outbox(2, 0)
-		for _, src := range []struct {
-			s   *sim.Simulation
-			o   *shard.Outbox
-			tag string
-		}{{g.Sim(1), o1, "s1"}, {g.Sim(2), o2, "s2"}} {
-			src := src
-			src.s.Schedule(100, func() {
-				src.o.Send(50, rec, src.tag+"-a")
-				src.o.Send(50, rec, src.tag+"-b")
-			})
-		}
-		g.RunUntil(1000)
-		want := []string{"s1-a", "s1-b", "s2-a", "s2-b"}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: merge order = %v, want %v", e, got, want)
-		}
+	// how the goroutines interleave.
+	g := shard.NewGroup(7, 3, 4)
+	g.SetLookahead(50)
+	var got []string
+	rec := func(arg any) { got = append(got, arg.(string)) }
+	o1, o2 := g.Outbox(1, 0), g.Outbox(2, 0)
+	for _, src := range []struct {
+		s   *sim.Simulation
+		o   *shard.Outbox
+		tag string
+	}{{g.Sim(1), o1, "s1"}, {g.Sim(2), o2, "s2"}} {
+		src := src
+		src.s.Schedule(100, func() {
+			src.o.Send(50, rec, src.tag+"-a")
+			src.o.Send(50, rec, src.tag+"-b")
+		})
+	}
+	g.RunUntil(1000)
+	want := []string{"s1-a", "s1-b", "s2-a", "s2-b"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merge order = %v, want %v", got, want)
 	}
 }
 
@@ -223,19 +190,16 @@ func TestPreRunStagedSendIsNotLost(t *testing.T) {
 	// A cross-shard send staged before RunUntil (construction-time
 	// stimulus) must be visible to the first horizon computation even
 	// when no shard has wheel events of its own.
-	for _, e := range engines {
-		g := shard.NewGroup(1, 2, 2)
-		g.SetEngine(e)
-		g.SetLookahead(10)
-		fired := sim.Time(-1)
-		g.Outbox(0, 1).Send(25, func(any) { fired = g.Sim(1).Now() }, nil)
-		g.RunUntil(100)
-		if fired != 25 {
-			t.Fatalf("%v: staged cross-shard event fired at %d, want 25", e, fired)
-		}
-		if g.Now() != 100 {
-			t.Fatalf("%v: group clock %d, want 100", e, g.Now())
-		}
+	g := shard.NewGroup(1, 2, 2)
+	g.SetLookahead(10)
+	fired := sim.Time(-1)
+	g.Outbox(0, 1).Send(25, func(any) { fired = g.Sim(1).Now() }, nil)
+	g.RunUntil(100)
+	if fired != 25 {
+		t.Fatalf("staged cross-shard event fired at %d, want 25", fired)
+	}
+	if g.Now() != 100 {
+		t.Fatalf("group clock %d, want 100", g.Now())
 	}
 }
 
@@ -301,20 +265,17 @@ func TestRunForAdvancesFromBarrier(t *testing.T) {
 func TestResumedRunMatchesSingleRun(t *testing.T) {
 	raiseGOMAXPROCS(t, 8)
 	// Splitting a run into two RunUntil calls must not change anything:
-	// neither engine leaves hidden state between deadlines (messages
+	// the engine leaves no hidden state between deadlines (messages
 	// staged beyond the first deadline survive in their channels).
-	for _, e := range engines {
-		one := buildRingEngine(11, 4, 3, e)
-		one.g.RunUntil(30000)
-		two := buildRingEngine(11, 4, 3, e)
-		two.g.RunUntil(12345)
-		two.g.RunUntil(30000)
-		if !reflect.DeepEqual(one.logs, two.logs) {
-			t.Fatalf("%v: split run diverged from single run", e)
-		}
-		if one.g.Fired() != two.g.Fired() {
-			t.Fatalf("%v: fired %d vs %d", e, one.g.Fired(), two.g.Fired())
-		}
+	one := runRing(11, 4, 3, 30000)
+	two := buildRing(11, 4, 3)
+	two.g.RunUntil(12345)
+	two.g.RunUntil(30000)
+	if !reflect.DeepEqual(one.logs, two.logs) {
+		t.Fatal("split run diverged from single run")
+	}
+	if one.g.Fired() != two.g.Fired() {
+		t.Fatalf("fired %d vs %d", one.g.Fired(), two.g.Fired())
 	}
 }
 
@@ -350,12 +311,11 @@ func TestShardStats(t *testing.T) {
 // its own lookahead. This is the kernel-level shakeout for the
 // per-channel horizon machinery: heterogeneous lookaheads, cycles,
 // fan-in ties, and shards with no channels at all.
-func runGraph(t *testing.T, seed int64, workers int, e shard.Engine) [][]string {
+func runGraph(t *testing.T, seed int64, workers int) [][]string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := 2 + rng.Intn(5)
 	g := shard.NewGroup(seed, n, workers)
-	g.SetEngine(e)
 	g.SetLookahead(20)
 	logs := make([][]string, n)
 	type edge struct {
@@ -410,13 +370,10 @@ func runGraph(t *testing.T, seed int64, workers int, e shard.Engine) [][]string 
 func TestRandomGraphEnginesAgree(t *testing.T) {
 	raiseGOMAXPROCS(t, 8)
 	for seed := int64(0); seed < 12; seed++ {
-		ref := runGraph(t, seed, 1, shard.EngineChannel)
-		for _, e := range engines {
-			for _, workers := range []int{1, 3, 8} {
-				got := runGraph(t, seed, workers, e)
-				if !reflect.DeepEqual(ref, got) {
-					t.Fatalf("seed=%d %v workers=%d: diverged from sequential channel-aware run", seed, e, workers)
-				}
+		ref := runGraph(t, seed, 1)
+		for _, workers := range []int{3, 8} {
+			if got := runGraph(t, seed, workers); !reflect.DeepEqual(ref, got) {
+				t.Fatalf("seed=%d workers=%d: diverged from sequential run", seed, workers)
 			}
 		}
 	}
@@ -424,8 +381,7 @@ func TestRandomGraphEnginesAgree(t *testing.T) {
 
 func TestStepSpansOptIn(t *testing.T) {
 	// Step spans are diagnostics: off by default (they depend on where
-	// horizons fell, which is wall-clock-dependent under the async
-	// engine), recorded on the shard tracers when enabled.
+	// horizons fell, which is wall-clock-dependent), recorded on the shard tracers when enabled.
 	m := buildRing(42, 3, 1)
 	ctxs := obs.EnableGroup(m.g.Sims())
 	m.g.EnableStepSpans()

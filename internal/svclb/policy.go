@@ -282,9 +282,6 @@ func (r *Router) ReportDepth(host, depth int, at sim.Time) {
 	}
 }
 
-// Routes reports how many requests have been routed.
-func (r *Router) Routes() uint64 { return r.routes }
-
 // RouteHash returns an FNV-1a digest of every routing decision so far —
 // the determinism witness: same seed, same policy, same digest.
 func (r *Router) RouteHash() uint64 { return r.hash }

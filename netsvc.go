@@ -25,10 +25,9 @@ import (
 	"repro/internal/kvcache"
 	"repro/internal/loadgen"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/rpcnic"
+	"repro/internal/shell"
 	"repro/internal/sim"
-	"repro/internal/sim/shard"
 )
 
 // netsvcKVConfig shapes one KV sweep point. The keyspace is kept small
@@ -185,199 +184,40 @@ func expNetsvcKVBatch(scale Scale) *Table {
 	return t
 }
 
-// NetsvcScaleConfig drives one sharded-kernel KV point: per pod, a
-// cluster of closed-loop KV clients and one shard host, with the
-// keyspace hashed across every pod's shard — so most requests cross pod
-// (= shard) boundaries and the conservative windows carry real traffic.
-type NetsvcScaleConfig struct {
-	Seed int64
-	Pods int
-	// Topology dimensions (zero = the paper's).
-	HostsPerTOR, TORsPerPod int
-	// Workload shape.
-	ClientsPerPod     int
-	RequestsPerClient int
-	Keys              int
-	GetFraction       float64
-	MeanGap           sim.Time
-	Timeout           sim.Time
-	Duration          sim.Time
+// KVService is the E18c workload: one KV shard per pod (on its pod's
+// second TOR) and the shared closed-loop KVClients hashing across them.
+type KVService struct {
+	KVClients
 	// Cuckoo selects the cuckoo store directory on every shard.
 	Cuckoo bool
-	// MGetBatch > 1 coalesces each client's GETs into per-shard
-	// multi-get datagrams of that size; buffered keys ride the next
-	// flush, so the closed loop advances as soon as a key is queued.
-	MGetBatch int
-	// Workers is the shard-advancing goroutine count (0 = one per core).
-	Workers int
-	// Engine selects the shard coordination engine (zero value: the
-	// channel-aware asynchronous engine); wall-clock-only, like Workers.
-	Engine    shard.Engine
-	Telemetry bool
-	SpanLimit int
 }
 
-// DefaultNetsvcScaleConfig sizes the sharded KV workload for pods.
-func DefaultNetsvcScaleConfig(pods int) NetsvcScaleConfig {
-	return NetsvcScaleConfig{
-		Seed:              18,
-		Pods:              pods,
+// DefaultKVService returns the E18c workload shape.
+func DefaultKVService() KVService {
+	return KVService{KVClients: KVClients{
 		ClientsPerPod:     2,
 		RequestsPerClient: 150,
 		Keys:              256,
 		GetFraction:       0.8,
 		MeanGap:           30 * sim.Microsecond,
 		Timeout:           2 * sim.Millisecond,
-		Duration:          20 * sim.Millisecond,
-	}
+	}}
 }
 
-// NetsvcScaleResult summarizes one sharded KV run.
-type NetsvcScaleResult struct {
-	Workers   int
-	Offered   uint64
-	Completed uint64
-	Hits      uint64
-	Timeouts  uint64
-	Events    uint64
-	Crossings uint64
-	// Digest folds every client's completion stream in client order plus
-	// the kernel's event and crossing totals: worker-count-independent by
-	// construction.
-	Digest  uint64
-	Elapsed time.Duration
-	Record  *obs.Record
-}
+func (KVService) shellConfig() shell.Config { return shell.Config{} }
 
-// RunNetsvcScalePoint runs the KV service on the pod-sharded kernel.
-// Shard placement, client order, RNG streams, and the digest fold order
-// are all fixed before the clock starts, so the only thing Workers can
-// change is the wall clock.
-func RunNetsvcScalePoint(cfg NetsvcScaleConfig) NetsvcScaleResult {
-	topo := netsim.DefaultConfig()
-	topo.Pods = cfg.Pods
-	if cfg.HostsPerTOR > 0 {
-		topo.HostsPerTOR = cfg.HostsPerTOR
-	}
-	if cfg.TORsPerPod > 0 {
-		topo.TORsPerPod = cfg.TORsPerPod
-	}
-	c := NewSharded(Options{Seed: cfg.Seed, Topology: topo, Telemetry: cfg.Telemetry, Engine: cfg.Engine}, cfg.Workers)
-	if cfg.SpanLimit > 0 {
-		for _, ctx := range c.Obs {
-			ctx.Tracer.SetLimit(cfg.SpanLimit)
-		}
-	}
-	perPod := topo.HostsPerTOR * topo.TORsPerPod
+func (KVService) label() (string, string) { return "netsvc", "shardkv" }
 
-	// One shard per pod, on its pod's second TOR (fixed order).
-	shardHosts := make([]int, cfg.Pods)
-	for p := 0; p < cfg.Pods; p++ {
-		h := p*perPod + topo.HostsPerTOR
-		shardHosts[p] = h
+func (w KVService) place(c *ShardedCloud, topo netsim.Config, _ sim.Time) func(*ShardedResult, func(uint64)) {
+	shardHosts := kvShardHosts(topo)
+	for _, h := range shardHosts {
 		n := c.Node(h)
 		sc := kvcache.DefaultStoreConfig()
-		sc.Cuckoo = cfg.Cuckoo
+		sc.Cuckoo = w.Cuckoo
 		st := kvcache.NewStore(c.SimForHost(h), n.Shell.DRAM, sc)
 		kvcache.AttachShard(c.SimForHost(h), n.Shell, st)
 	}
-	lookup := func(hash uint64) int { return shardHosts[hash%uint64(len(shardHosts))] }
-
-	// Clients pod-major on each pod's first TOR. Each client's RNG and
-	// closed-loop chain live on its own shard's wheel.
-	var clients []*kvcache.Client
-	for p := 0; p < cfg.Pods; p++ {
-		for i := 0; i < cfg.ClientsPerPod; i++ {
-			h := p*perPod + i
-			n := c.Node(h)
-			ps := c.SimForHost(h)
-			cl := kvcache.NewClient(ps, n.Shell, cfg.Timeout, lookup)
-			clients = append(clients, cl)
-
-			rng := ps.NewRand()
-			remaining := cfg.RequestsPerClient
-			var next func(kvcache.Outcome)
-			var pend [][]int
-			var mkeys [][]byte
-			var arena []byte
-			if cfg.MGetBatch > 1 {
-				pend = make([][]int, len(shardHosts))
-				mkeys = make([][]byte, cfg.MGetBatch)
-				arena = make([]byte, cfg.MGetBatch*16)
-			}
-			mnext := func(kvcache.MResp, sim.Time, bool) { next(kvcache.Outcome{}) }
-			issue := func() {
-				if remaining == 0 {
-					return
-				}
-				remaining--
-				idx := rng.Intn(cfg.Keys)
-				key := kvcache.MakeKey(idx, 16)
-				if rng.Float64() < cfg.GetFraction {
-					if cfg.MGetBatch > 1 {
-						sidx := cl.ShardOf(key, len(shardHosts))
-						pend[sidx] = append(pend[sidx], idx)
-						if len(pend[sidx]) >= cfg.MGetBatch {
-							for i, kidx := range pend[sidx] {
-								mkeys[i] = kvcache.MakeKeyInto(arena[i*16:(i+1)*16], kidx)
-							}
-							n := len(pend[sidx])
-							pend[sidx] = pend[sidx][:0]
-							cl.MultiGet(mkeys[:n], mnext)
-						} else {
-							next(kvcache.Outcome{}) // buffered: the loop advances
-						}
-						return
-					}
-					cl.Get(key, next)
-				} else {
-					cl.Put(key, kvcache.MakeVal(idx, 128), next)
-				}
-			}
-			next = func(kvcache.Outcome) {
-				gap := sim.Time(rng.ExpFloat64() * float64(cfg.MeanGap))
-				ps.Schedule(gap, issue)
-			}
-			ps.Schedule(sim.Time(rng.Intn(int(cfg.MeanGap))), issue)
-		}
-	}
-
-	start := time.Now()
-	c.Run(cfg.Duration)
-	elapsed := time.Since(start)
-
-	res := NetsvcScaleResult{
-		Workers:   c.Group.Workers(),
-		Events:    c.Fired(),
-		Crossings: c.Group.Crossings,
-		Elapsed:   elapsed,
-	}
-	h := uint64(14695981039346656037)
-	fold := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	for _, cl := range clients {
-		res.Offered += cl.Stats.Gets.Value() + cl.Stats.Puts.Value()
-		res.Completed += cl.Stats.Hits.Value() + cl.Stats.Misses.Value() + cl.Stats.PutAcks.Value()
-		res.Hits += cl.Stats.Hits.Value()
-		res.Timeouts += cl.Stats.Timeouts.Value()
-		fold(cl.Digest())
-	}
-	fold(res.Events)
-	fold(res.Crossings)
-	res.Digest = h
-
-	if cfg.Telemetry {
-		// The label omits the worker count: a parallel run's telemetry
-		// must be byte-identical to the sequential run's.
-		res.Record = obs.CollectGroup(c.Obs, "netsvc",
-			fmt.Sprintf("shardkv pods=%d", cfg.Pods), cfg.Seed)
-	}
-	return res
+	return w.start(c, topo, shardHosts)
 }
 
 // expNetsvcScale runs the sharded KV point sequentially and on all
@@ -390,34 +230,25 @@ func expNetsvcScale(scale Scale) *Table {
 			"events", "crossings", "seq wall", "par wall", "identical"},
 	}
 	pods := []int{2, 4}
-	mk := func(p int) NetsvcScaleConfig {
-		cfg := DefaultNetsvcScaleConfig(p)
-		cfg.HostsPerTOR = 8
-		cfg.TORsPerPod = 4
-		cfg.RequestsPerClient = 60
-		cfg.Duration = 8 * Millisecond
-		return cfg
-	}
 	if scale == Full {
 		pods = []int{2, 4, 16}
-		mk = DefaultNetsvcScaleConfig
 	}
 	for _, p := range pods {
-		cfg := mk(p)
-		cfg.Workers = 1
-		seq := RunNetsvcScalePoint(cfg)
-		cfg.Telemetry = TelemetryEnabled()
-		if cfg.Telemetry {
-			cfg.SpanLimit = 4096
+		cfg := ShardedConfig{Seed: 18, Pods: p, Duration: 20 * Millisecond}
+		w := DefaultKVService()
+		if scale == Quick {
+			cfg.HostsPerTOR = 8
+			cfg.TORsPerPod = 4
+			cfg.Duration = 8 * Millisecond
+			w.RequestsPerClient = 60
 		}
-		cfg.Workers = workers
-		par := RunNetsvcScalePoint(cfg)
-		addTelemetry("netsvc", par.Record)
+		cfg.Workload = w
+		seq, par, identical := seqVsPar(cfg, workers)
 		t.AddRow(p, seq.Offered, seq.Completed, seq.Hits, seq.Timeouts,
 			seq.Events, seq.Crossings,
 			seq.Elapsed.Round(time.Millisecond).String(),
 			par.Elapsed.Round(time.Millisecond).String(),
-			seq.Digest == par.Digest && seq.Completed == par.Completed)
+			identical)
 	}
 	return t
 }

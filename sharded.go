@@ -3,8 +3,10 @@ package configcloud
 import (
 	"fmt"
 	"runtime"
+	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/kvcache"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/shell"
@@ -51,7 +53,6 @@ func NewSharded(opts Options, workers int) *ShardedCloud {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	g := shard.NewGroup(opts.Seed, topo.Pods+1, workers)
-	g.SetEngine(opts.Engine)
 	shCfg := opts.Shell
 	if shCfg.BridgeLatency == 0 {
 		shCfg = shell.DefaultConfig()
@@ -144,3 +145,275 @@ func (c *ShardedCloud) Tier(a, b int) int { return c.DC.Tier(a, b) }
 // SimForHost returns the shard simulation host id lives on — for
 // scheduling workload callbacks next to the components they drive.
 func (c *ShardedCloud) SimForHost(id int) *sim.Simulation { return c.DC.SimForHost(id) }
+
+// ShardedConfig drives one point of a sharded-kernel scenario (E16,
+// E18c, E19c): a (possibly down-sized) datacenter on the pod-sharded
+// conservative-parallel kernel, carrying one Workload.
+type ShardedConfig struct {
+	Seed int64
+	// Topology dimensions. Zero HostsPerTOR/TORsPerPod mean the paper's
+	// (24 hosts/TOR, 40 TORs/pod); Pods must be set.
+	Pods        int
+	HostsPerTOR int
+	TORsPerPod  int
+	// Cable-delay overrides (zero = the paper's defaults). L1UplinkProp
+	// is the base pod<->spine propagation delay — the sharded kernel's
+	// lookahead floor; L2CableSpread adds the per-pod deterministic
+	// extra in [0, spread) that the kernel turns into per-channel slack.
+	// The property tests randomize both.
+	L1UplinkProp  sim.Time
+	L2CableSpread sim.Time
+	// Duration is the virtual run time.
+	Duration sim.Time
+	// Workers is the goroutine count advancing the shards (0 = one per
+	// core). The digest is worker-count-independent by construction.
+	Workers int
+	// Telemetry collects a merged obs Record for the run; SpanLimit
+	// caps each shard's span log (0 = tracer default).
+	Telemetry bool
+	SpanLimit int
+	// Workload is what runs on the cloud: PingMesh, KVService or
+	// TenantBoards.
+	Workload ShardedWorkload
+}
+
+// ShardedWorkload is one scenario's plug-in to RunSharded: the shell
+// its boards get, its placement and traffic, and its part of the digest.
+type ShardedWorkload interface {
+	// shellConfig is every board's shell (zero value: the default).
+	shellConfig() shell.Config
+	// place builds the workload on c before the clock starts; the run
+	// ends at virtual time until. Placement order, RNG streams and the
+	// digest fold order are all fixed here, so the worker count can
+	// change only the wall clock. The returned finish adds the
+	// workload's counters to res and folds its part of the digest after
+	// the run.
+	place(c *ShardedCloud, topo netsim.Config, until sim.Time) (finish func(res *ShardedResult, fold func(uint64)))
+	// label names the telemetry record: experiment id and a point-label
+	// prefix ("" for none) placed before "pods=N".
+	label() (exp, prefix string)
+}
+
+// ShardedResult summarizes one sharded run.
+type ShardedResult struct {
+	Workers   int
+	Hosts     int // addressable hosts in the topology
+	Events    uint64
+	Crossings uint64
+	// Digest folds the workload's per-flow results in construction order
+	// plus the event and crossing totals: two runs agree on the digest
+	// iff the simulation behaved identically.
+	Digest  uint64
+	Elapsed time.Duration
+	// Record is the merged telemetry (nil unless ShardedConfig.Telemetry).
+	Record *obs.Record
+
+	// Workload counters; each workload fills the ones it has.
+	Pings        uint64 // PingMesh: completed pings
+	Offered      uint64 // KV requests issued
+	Completed    uint64 // KV hits + misses + PUT acks
+	Hits         uint64
+	Timeouts     uint64
+	ElephantSent uint64 // TenantBoards: elephant datagrams accepted
+	Throttled    uint64 // TenantBoards: elephant token-bucket throttles
+}
+
+// RunSharded builds the sharded cloud, places cfg.Workload, runs it for
+// cfg.Duration, and returns counters, digest, and wall-clock time.
+func RunSharded(cfg ShardedConfig) ShardedResult {
+	topo := netsim.DefaultConfig()
+	topo.Pods = cfg.Pods
+	if cfg.HostsPerTOR > 0 {
+		topo.HostsPerTOR = cfg.HostsPerTOR
+	}
+	if cfg.TORsPerPod > 0 {
+		topo.TORsPerPod = cfg.TORsPerPod
+	}
+	if cfg.L1UplinkProp > 0 {
+		topo.L1Uplink.Prop = cfg.L1UplinkProp
+	}
+	if cfg.L2CableSpread > 0 {
+		topo.L2CableSpread = cfg.L2CableSpread
+	}
+	c := NewSharded(Options{
+		Seed:      cfg.Seed,
+		Topology:  topo,
+		Shell:     cfg.Workload.shellConfig(),
+		Telemetry: cfg.Telemetry,
+	}, cfg.Workers)
+	if cfg.SpanLimit > 0 {
+		for _, ctx := range c.Obs {
+			ctx.Tracer.SetLimit(cfg.SpanLimit)
+		}
+	}
+	finish := cfg.Workload.place(c, topo, cfg.Duration)
+
+	start := time.Now()
+	c.Run(cfg.Duration)
+	elapsed := time.Since(start)
+
+	res := ShardedResult{
+		Workers:   c.Group.Workers(),
+		Hosts:     topo.Pods * topo.HostsPerTOR * topo.TORsPerPod,
+		Events:    c.Fired(),
+		Crossings: c.Group.Crossings,
+		Elapsed:   elapsed,
+	}
+	h := uint64(14695981039346656037)
+	fold := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= v & 0xff
+			h *= 1099511628211
+			v >>= 8
+		}
+	}
+	finish(&res, fold)
+	fold(res.Events)
+	fold(res.Crossings)
+	res.Digest = h
+
+	if cfg.Telemetry {
+		// The point label deliberately omits the worker count: a parallel
+		// run's telemetry must be byte-identical to the sequential run's.
+		exp, point := cfg.Workload.label()
+		if point != "" {
+			point += " "
+		}
+		res.Record = obs.CollectGroup(c.Obs, exp,
+			fmt.Sprintf("%spods=%d", point, cfg.Pods), cfg.Seed)
+	}
+	return res
+}
+
+// seqVsPar runs cfg sequentially and on workers goroutines; identical
+// reports bit-equal digests and work counters. Telemetry rides the
+// parallel run only: the sequential run's record would be byte-identical
+// (the sharded determinism tests enforce that), so collecting both
+// just duplicates records. Tracing appends spans but schedules nothing,
+// so the traced run's digest still matches the untraced sequential one.
+func seqVsPar(cfg ShardedConfig, workers int) (seq, par ShardedResult, identical bool) {
+	cfg.Workers = 1
+	seq = RunSharded(cfg)
+	cfg.Telemetry = TelemetryEnabled()
+	if cfg.Telemetry {
+		cfg.SpanLimit = 4096
+	}
+	cfg.Workers = workers
+	par = RunSharded(cfg)
+	exp, _ := cfg.Workload.label()
+	addTelemetry(exp, par.Record)
+	identical = seq.Digest == par.Digest && seq.Pings == par.Pings && seq.Completed == par.Completed
+	return seq, par, identical
+}
+
+// kvShardHosts places one KV shard per pod, on its pod's second TOR, in
+// pod order.
+func kvShardHosts(topo netsim.Config) []int {
+	hosts := make([]int, topo.Pods)
+	for p := range hosts {
+		hosts[p] = p*topo.HostsPerTOR*topo.TORsPerPod + topo.HostsPerTOR
+	}
+	return hosts
+}
+
+// KVClients is the closed-loop KV client population E18c and E19c
+// share: ClientsPerPod clients on each pod's first TOR, each issuing
+// RequestsPerClient requests with exponential think time, the keyspace
+// hashed across every pod's shard — so most requests cross pod (=
+// shard) boundaries and the kernel's channels carry real traffic.
+type KVClients struct {
+	ClientsPerPod     int
+	RequestsPerClient int
+	Keys              int
+	GetFraction       float64
+	MeanGap           sim.Time
+	Timeout           sim.Time
+	// Start delays every client's first request (E19c: until the slots'
+	// partial reconfigurations complete).
+	Start sim.Time
+	// MGetBatch > 1 coalesces each client's GETs into per-shard
+	// multi-get datagrams of that size; buffered keys ride the next
+	// flush, so the closed loop advances as soon as a key is queued.
+	MGetBatch int
+}
+
+// start creates the clients pod-major, routing keys over shardHosts.
+// Each client's RNG and closed-loop chain live on its own shard's wheel.
+// The returned finish sums the clients' counters and folds their
+// completion-stream digests in client order.
+func (k KVClients) start(c *ShardedCloud, topo netsim.Config, shardHosts []int) func(*ShardedResult, func(uint64)) {
+	perPod := topo.HostsPerTOR * topo.TORsPerPod
+	lookup := func(hash uint64) int { return shardHosts[hash%uint64(len(shardHosts))] }
+	var clients []*kvcache.Client
+	for p := 0; p < topo.Pods; p++ {
+		for i := 0; i < k.ClientsPerPod; i++ {
+			h := p*perPod + i
+			n := c.Node(h)
+			ps := c.SimForHost(h)
+			cl := kvcache.NewClient(ps, n.Shell, k.Timeout, lookup)
+			clients = append(clients, cl)
+			k.drive(ps, cl, len(shardHosts))
+		}
+	}
+	return func(res *ShardedResult, fold func(uint64)) {
+		for _, cl := range clients {
+			res.Offered += cl.Stats.Gets.Value() + cl.Stats.Puts.Value()
+			res.Completed += cl.Stats.Hits.Value() + cl.Stats.Misses.Value() + cl.Stats.PutAcks.Value()
+			res.Hits += cl.Stats.Hits.Value()
+			res.Timeouts += cl.Stats.Timeouts.Value()
+			fold(cl.Digest())
+		}
+	}
+}
+
+// drive runs one client's closed loop on ps. The per-client RNG draw
+// order is part of the digest: Intn(MeanGap) for the first request,
+// then per request Intn(Keys) and Float64(), then ExpFloat64() for the
+// think time.
+func (k KVClients) drive(ps *sim.Simulation, cl *kvcache.Client, shards int) {
+	rng := ps.NewRand()
+	remaining := k.RequestsPerClient
+	var next func(kvcache.Outcome)
+	var pend [][]int
+	var mkeys [][]byte
+	var arena []byte
+	if k.MGetBatch > 1 {
+		pend = make([][]int, shards)
+		mkeys = make([][]byte, k.MGetBatch)
+		arena = make([]byte, k.MGetBatch*16)
+	}
+	mnext := func(kvcache.MResp, sim.Time, bool) { next(kvcache.Outcome{}) }
+	issue := func() {
+		if remaining == 0 {
+			return
+		}
+		remaining--
+		idx := rng.Intn(k.Keys)
+		key := kvcache.MakeKey(idx, 16)
+		if rng.Float64() >= k.GetFraction {
+			cl.Put(key, kvcache.MakeVal(idx, 128), next)
+			return
+		}
+		if k.MGetBatch <= 1 {
+			cl.Get(key, next)
+			return
+		}
+		sidx := cl.ShardOf(key, shards)
+		pend[sidx] = append(pend[sidx], idx)
+		if len(pend[sidx]) < k.MGetBatch {
+			next(kvcache.Outcome{}) // buffered: the loop advances
+			return
+		}
+		for i, kidx := range pend[sidx] {
+			mkeys[i] = kvcache.MakeKeyInto(arena[i*16:(i+1)*16], kidx)
+		}
+		n := len(pend[sidx])
+		pend[sidx] = pend[sidx][:0]
+		cl.MultiGet(mkeys[:n], mnext)
+	}
+	next = func(kvcache.Outcome) {
+		gap := sim.Time(rng.ExpFloat64() * float64(k.MeanGap))
+		ps.Schedule(gap, issue)
+	}
+	ps.Schedule(k.Start+sim.Time(rng.Intn(int(k.MeanGap))), issue)
+}

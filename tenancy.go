@@ -31,7 +31,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/shell"
 	"repro/internal/sim"
-	"repro/internal/sim/shard"
 )
 
 // Datagram kinds used by the tenancy workloads (disjoint from
@@ -369,100 +368,48 @@ func expTenancyNeighbor(scale Scale) *Table {
 	return t
 }
 
-// TenancyScaleConfig drives one multi-tenant sharded-kernel point: per
-// pod, a KV shard in its board's slot 0 and a shaped elephant tenant in
-// slot 1, with closed-loop KV clients hashing across every pod's shard.
-type TenancyScaleConfig struct {
-	Seed int64
-	Pods int
-	// Topology dimensions (zero = the paper's).
-	HostsPerTOR, TORsPerPod int
-	// Workload shape.
-	ClientsPerPod     int
-	RequestsPerClient int
-	Keys              int
-	GetFraction       float64
-	MeanGap           sim.Time
-	Timeout           sim.Time
-	// Warmup delays traffic until the slots' partial reconfigurations
-	// complete; Duration is total virtual run time including warmup.
-	Warmup   sim.Time
-	Duration sim.Time
+// TenantBoards is the E19c workload: per pod, one multi-tenant board on
+// its pod's second TOR — a KV shard in slot 0, an elephant tenant in
+// slot 1 blasting a same-pod sink host — with the shared closed-loop
+// KVClients hashing across every pod's shard from KVClients.Start (the
+// slots' reconfiguration warmup).
+type TenantBoards struct {
+	KVClients
 	// ElephantShapeBps caps each elephant slot's egress (0 = unshaped).
 	ElephantShapeBps int64
-	// Workers is the shard-advancing goroutine count (0 = one per core).
-	Workers int
-	// Engine selects the shard coordination engine; wall-clock-only.
-	Engine    shard.Engine
-	Telemetry bool
-	SpanLimit int
 }
 
-// DefaultTenancyScaleConfig sizes the multi-tenant sharded point.
-func DefaultTenancyScaleConfig(pods int) TenancyScaleConfig {
-	return TenancyScaleConfig{
-		Seed:              19,
-		Pods:              pods,
-		ClientsPerPod:     2,
-		RequestsPerClient: 100,
-		Keys:              256,
-		GetFraction:       0.8,
-		MeanGap:           30 * sim.Microsecond,
-		Timeout:           2 * sim.Millisecond,
-		Warmup:            12 * sim.Millisecond,
-		Duration:          24 * sim.Millisecond,
-		ElephantShapeBps:  2e9,
+// DefaultTenantBoards returns the E19c workload shape.
+func DefaultTenantBoards() TenantBoards {
+	return TenantBoards{
+		KVClients: KVClients{
+			ClientsPerPod:     2,
+			RequestsPerClient: 100,
+			Keys:              256,
+			GetFraction:       0.8,
+			MeanGap:           30 * sim.Microsecond,
+			Timeout:           2 * sim.Millisecond,
+			Start:             12 * sim.Millisecond, // slot reconfigs finish at ~10.7 ms
+		},
+		ElephantShapeBps: 2e9,
 	}
 }
 
-// TenancyScaleResult summarizes one multi-tenant sharded run.
-type TenancyScaleResult struct {
-	Workers       int
-	Offered       uint64
-	Completed     uint64
-	Timeouts      uint64
-	ElephantSent  uint64
-	Throttled     uint64
-	Events        uint64
-	Crossings     uint64
-	// Digest folds every client's completion stream plus the elephant
-	// and kernel totals: worker-count-independent by construction.
-	Digest  uint64
-	Elapsed time.Duration
-	Record  *obs.Record
-}
-
-// RunTenancyScalePoint runs the multi-tenant KV workload on the
-// pod-sharded kernel. Slot loads, client order, RNG streams, and the
-// digest fold order are fixed before the clock starts, so the only thing
-// Workers (or the engine) can change is the wall clock.
-func RunTenancyScalePoint(cfg TenancyScaleConfig) TenancyScaleResult {
-	topo := netsim.DefaultConfig()
-	topo.Pods = cfg.Pods
-	if cfg.HostsPerTOR > 0 {
-		topo.HostsPerTOR = cfg.HostsPerTOR
-	}
-	if cfg.TORsPerPod > 0 {
-		topo.TORsPerPod = cfg.TORsPerPod
-	}
+func (TenantBoards) shellConfig() shell.Config {
 	shCfg := shell.DefaultConfig()
 	shCfg.Slots = shell.DefaultSlotConfig(2)
-	c := NewSharded(Options{Seed: cfg.Seed, Topology: topo, Shell: shCfg,
-		Telemetry: cfg.Telemetry, Engine: cfg.Engine}, cfg.Workers)
-	if cfg.SpanLimit > 0 {
-		for _, ctx := range c.Obs {
-			ctx.Tracer.SetLimit(cfg.SpanLimit)
-		}
-	}
-	perPod := topo.HostsPerTOR * topo.TORsPerPod
+	return shCfg
+}
 
-	// One multi-tenant board per pod, on its pod's second TOR: KV shard
-	// in slot 0, elephant in slot 1 blasting a same-pod sink host.
-	shardHosts := make([]int, cfg.Pods)
-	elephants := make([]*shell.Shell, cfg.Pods)
-	for p := 0; p < cfg.Pods; p++ {
-		h := p*perPod + topo.HostsPerTOR
-		shardHosts[p] = h
+func (TenantBoards) label() (string, string) { return "tenancy", "shardkv+elephant" }
+
+// place loads every board's slots, starts the elephants, then the KV
+// clients; the digest folds the client streams, then each board's
+// elephant send and throttle totals.
+func (w TenantBoards) place(c *ShardedCloud, topo netsim.Config, until sim.Time) func(*ShardedResult, func(uint64)) {
+	shardHosts := kvShardHosts(topo)
+	elephants := make([]*shell.Shell, len(shardHosts))
+	for p, h := range shardHosts {
 		n := c.Node(h)
 		ps := c.SimForHost(h)
 		c.Node(h + 1) // elephant sink (no handler: frames still load the wire)
@@ -472,25 +419,22 @@ func RunTenancyScalePoint(cfg TenancyScaleConfig) TenancyScaleResult {
 		kvcache.AttachShardSlot(ps, n.Shell, 0, st)
 		_, err = n.Shell.ReconfigureSlot(1, "elephant", tenantStub{"elephant"}, 8000, nil)
 		must(err)
-		if cfg.ElephantShapeBps > 0 {
-			must(n.Shell.SetSlotEgressRate(1, cfg.ElephantShapeBps, 16<<10))
+		if w.ElephantShapeBps > 0 {
+			must(n.Shell.SetSlotEgressRate(1, w.ElephantShapeBps, 16<<10))
 		}
 		elephants[p] = n.Shell
 	}
-	lookup := func(hash uint64) int { return shardHosts[hash%uint64(len(shardHosts))] }
 
 	// Elephant load: each board bursts 8 KB-sized datagrams every 5 us
 	// (~13 Gbps offered) from warmup until the run ends.
-	var elephantSent []uint64 = make([]uint64, cfg.Pods)
+	elephantSent := make([]uint64, len(shardHosts))
 	blastPayload := make([]byte, 1024)
-	for p := 0; p < cfg.Pods; p++ {
-		p := p
-		sh := elephants[p]
+	for p, sh := range elephants {
 		ps := c.SimForHost(shardHosts[p])
 		sink := shardHosts[p] + 1
 		var blast func()
 		blast = func() {
-			if ps.Now() >= cfg.Duration {
+			if ps.Now() >= until {
 				return
 			}
 			for i := 0; i < 8; i++ {
@@ -500,84 +444,19 @@ func RunTenancyScalePoint(cfg TenancyScaleConfig) TenancyScaleResult {
 			}
 			ps.Schedule(5*sim.Microsecond, blast)
 		}
-		ps.Schedule(cfg.Warmup, blast)
+		ps.Schedule(w.Start, blast)
 	}
 
-	// Clients pod-major on each pod's first TOR, issuing from warmup.
-	var clients []*kvcache.Client
-	for p := 0; p < cfg.Pods; p++ {
-		for i := 0; i < cfg.ClientsPerPod; i++ {
-			h := p*perPod + i
-			n := c.Node(h)
-			ps := c.SimForHost(h)
-			cl := kvcache.NewClient(ps, n.Shell, cfg.Timeout, lookup)
-			clients = append(clients, cl)
-
-			rng := ps.NewRand()
-			remaining := cfg.RequestsPerClient
-			var next func(kvcache.Outcome)
-			issue := func() {
-				if remaining == 0 {
-					return
-				}
-				remaining--
-				idx := rng.Intn(cfg.Keys)
-				key := kvcache.MakeKey(idx, 16)
-				if rng.Float64() < cfg.GetFraction {
-					cl.Get(key, next)
-				} else {
-					cl.Put(key, kvcache.MakeVal(idx, 128), next)
-				}
-			}
-			next = func(kvcache.Outcome) {
-				gap := sim.Time(rng.ExpFloat64() * float64(cfg.MeanGap))
-				ps.Schedule(gap, issue)
-			}
-			ps.Schedule(cfg.Warmup+sim.Time(rng.Intn(int(cfg.MeanGap))), issue)
+	finishKV := w.start(c, topo, shardHosts)
+	return func(res *ShardedResult, fold func(uint64)) {
+		finishKV(res, fold)
+		for p, sh := range elephants {
+			res.ElephantSent += elephantSent[p]
+			res.Throttled += sh.Tenant.EgressThrottled.Value()
+			fold(elephantSent[p])
+			fold(sh.Tenant.EgressThrottled.Value())
 		}
 	}
-
-	start := time.Now()
-	c.Run(cfg.Duration)
-	elapsed := time.Since(start)
-
-	res := TenancyScaleResult{
-		Workers:   c.Group.Workers(),
-		Events:    c.Fired(),
-		Crossings: c.Group.Crossings,
-		Elapsed:   elapsed,
-	}
-	h := uint64(14695981039346656037)
-	fold := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	for _, cl := range clients {
-		res.Offered += cl.Stats.Gets.Value() + cl.Stats.Puts.Value()
-		res.Completed += cl.Stats.Hits.Value() + cl.Stats.Misses.Value() + cl.Stats.PutAcks.Value()
-		res.Timeouts += cl.Stats.Timeouts.Value()
-		fold(cl.Digest())
-	}
-	for p := 0; p < cfg.Pods; p++ {
-		res.ElephantSent += elephantSent[p]
-		res.Throttled += elephants[p].Tenant.EgressThrottled.Value()
-		fold(elephantSent[p])
-		fold(elephants[p].Tenant.EgressThrottled.Value())
-	}
-	fold(res.Events)
-	fold(res.Crossings)
-	res.Digest = h
-
-	if cfg.Telemetry {
-		// The label omits the worker count: a parallel run's telemetry
-		// must be byte-identical to the sequential run's.
-		res.Record = obs.CollectGroup(c.Obs, "tenancy",
-			fmt.Sprintf("shardkv+elephant pods=%d", cfg.Pods), cfg.Seed)
-	}
-	return res
 }
 
 // expTenancyScale is E19c: the multi-tenant board on the sharded kernel,
@@ -590,34 +469,25 @@ func expTenancyScale(scale Scale) *Table {
 			"throttled", "events", "crossings", "seq wall", "par wall", "identical"},
 	}
 	pods := []int{2}
-	mk := func(p int) TenancyScaleConfig {
-		cfg := DefaultTenancyScaleConfig(p)
-		cfg.HostsPerTOR = 6
-		cfg.TORsPerPod = 4
-		cfg.RequestsPerClient = 40
-		cfg.Duration = 18 * Millisecond
-		return cfg
-	}
 	if scale == Full {
 		pods = []int{2, 4, 8}
-		mk = DefaultTenancyScaleConfig
 	}
 	for _, p := range pods {
-		cfg := mk(p)
-		cfg.Workers = 1
-		seq := RunTenancyScalePoint(cfg)
-		cfg.Telemetry = TelemetryEnabled()
-		if cfg.Telemetry {
-			cfg.SpanLimit = 4096
+		cfg := ShardedConfig{Seed: 19, Pods: p, Duration: 24 * Millisecond}
+		w := DefaultTenantBoards()
+		if scale == Quick {
+			cfg.HostsPerTOR = 6
+			cfg.TORsPerPod = 4
+			cfg.Duration = 18 * Millisecond
+			w.RequestsPerClient = 40
 		}
-		cfg.Workers = workers
-		par := RunTenancyScalePoint(cfg)
-		addTelemetry("tenancy", par.Record)
+		cfg.Workload = w
+		seq, par, identical := seqVsPar(cfg, workers)
 		t.AddRow(p, seq.Offered, seq.Completed, seq.Timeouts, seq.ElephantSent,
 			seq.Throttled, seq.Events, seq.Crossings,
 			seq.Elapsed.Round(time.Millisecond).String(),
 			par.Elapsed.Round(time.Millisecond).String(),
-			seq.Digest == par.Digest && seq.Completed == par.Completed)
+			identical)
 	}
 	return t
 }
