@@ -45,15 +45,16 @@ func TestExperimentDeterminism(t *testing.T) {
 }
 
 // Fault injection replays bit-identically: the same seed and fault
-// profile must yield the same executed-event trace, the same fault tally,
-// and the same transport metrics, run after run. This is what makes a
-// fault scenario debuggable — a failure seen once can be re-run under a
-// tracer.
+// profile must yield the same executed-event count and end time, the
+// same fault tally, the same transport counters, and the same telemetry
+// record (every registered metric, every LTL span and every fault
+// arrival), run after run. This is what makes a fault scenario
+// debuggable — a failure seen once can be re-run with its spans
+// rendered.
 func TestFaultProfileReplayDeterminism(t *testing.T) {
 	for _, profile := range FaultProfileNames() {
 		render := func() string {
-			cloud := New(Options{Seed: 23, FaultProfile: profile})
-			cloud.Sim.EnableTrace(2048)
+			cloud := New(Options{Seed: 23, FaultProfile: profile, Telemetry: true})
 			a, b := cloud.Node(0), cloud.Node(1)
 			if err := b.Shell.Engine.OpenRecv(5, netsim.HostIP(0), nil); err != nil {
 				t.Fatal(err)
@@ -78,13 +79,23 @@ func TestFaultProfileReplayDeterminism(t *testing.T) {
 			cloud.Run(10 * Millisecond)
 
 			eng := a.Shell.Engine
-			return fmt.Sprintf("completed=%d retx=%d timeouts=%d nacks=%d\n%s%s",
+			rec := obs.Collect(obs.Of(cloud.Sim), "faults", profile)
+			if len(rec.Metrics) == 0 || len(rec.Spans) == 0 {
+				t.Fatalf("profile %q: telemetry is empty (%d metrics, %d spans)", profile, len(rec.Metrics), len(rec.Spans))
+			}
+			var enc strings.Builder
+			if err := rec.Encode(&enc); err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprintf("completed=%d retx=%d timeouts=%d nacks=%d fired=%d now=%d\n%s%s",
 				completed,
 				eng.Stats.Retransmits.Value(),
 				eng.Stats.Timeouts.Value(),
 				eng.Stats.NacksRecv.Value(),
+				cloud.Sim.Fired(),
+				cloud.Sim.Now(),
 				cloud.Faults.Stats.Table().String(),
-				cloud.Sim.TraceString())
+				enc.String())
 		}
 		if a, b := render(), render(); a != b {
 			t.Errorf("profile %q does not replay deterministically", profile)

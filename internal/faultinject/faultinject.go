@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/pkt"
 	"repro/internal/shell"
 	"repro/internal/sim"
@@ -135,15 +136,20 @@ type Injector struct {
 	order []int // AddNode order: deterministic iteration
 	stop  *bool // current schedule generation; nil when idle
 
+	// tracer logs each scheduled fault arrival as a fault.* event span;
+	// nil when observability is off.
+	tracer *obs.Tracer
+
 	Stats Stats
 }
 
 // New creates an injector on s.
 func New(s *sim.Simulation) *Injector {
 	in := &Injector{
-		sim:   s,
-		rng:   s.NewRand(),
-		nodes: make(map[int]*node),
+		sim:    s,
+		rng:    s.NewRand(),
+		tracer: obs.TracerOf(s),
+		nodes:  make(map[int]*node),
 	}
 	for c := range in.Stats.Recovery {
 		in.Stats.Recovery[c] = metrics.NewHistogram()
@@ -188,9 +194,6 @@ func (in *Injector) Node(hostID int) *shell.Shell {
 	}
 	return nil
 }
-
-// NodeIDs returns the registered host ids in registration order.
-func (in *Injector) NodeIDs() []int { return append([]int(nil), in.order...) }
 
 // NodeAlive reports whether hostID's FPGA is up and bridging.
 func (in *Injector) NodeAlive(hostID int) bool {
@@ -384,7 +387,7 @@ func (in *Injector) Start(p Profile) func() {
 				in.InjectLink(peer, p.Link)
 			}
 		}
-		in.poisson(p.KillRate, &stopped, func() {
+		in.poisson(p.KillRate, &stopped, "fault.kill", id, func() {
 			in.KillNode(id)
 			if p.RepairTime > 0 {
 				in.sim.Schedule(p.RepairTime, func() {
@@ -394,9 +397,9 @@ func (in *Injector) Start(p Profile) func() {
 				})
 			}
 		})
-		in.poisson(p.FlapRate, &stopped, func() { in.FlapLink(id, p.FlapDown) })
-		in.poisson(p.WedgeRate, &stopped, func() { in.WedgeRole(id) })
-		in.poisson(p.SEURate, &stopped, func() {
+		in.poisson(p.FlapRate, &stopped, "fault.flap", id, func() { in.FlapLink(id, p.FlapDown) })
+		in.poisson(p.WedgeRate, &stopped, "fault.wedge", id, func() { in.WedgeRole(id) })
+		in.poisson(p.SEURate, &stopped, "fault.seu", id, func() {
 			if !in.nodes[id].sh.Failed() {
 				in.nodes[id].sh.InjectSEU(false)
 			}
@@ -415,8 +418,9 @@ func (in *Injector) Start(p Profile) func() {
 }
 
 // poisson schedules fire at exponential intervals of the given rate
-// (events per virtual second) until *stopped.
-func (in *Injector) poisson(rate float64, stopped *bool, fire func()) {
+// (events per virtual second) until *stopped, logging each arrival as
+// an event span named span with the target host as its arg.
+func (in *Injector) poisson(rate float64, stopped *bool, span string, hostID int, fire func()) {
 	if rate <= 0 {
 		return
 	}
@@ -432,6 +436,7 @@ func (in *Injector) poisson(rate float64, stopped *bool, fire func()) {
 		if *stopped {
 			return
 		}
+		in.tracer.Event(0, span, 0, int64(hostID))
 		fire()
 		in.sim.Schedule(delay(), next)
 	}

@@ -451,7 +451,7 @@ type Shard struct {
 	// slot is the vFPGA slot the shard occupies (-1 = whole-board role).
 	slot int
 	// Store is the shard's directory + DRAM arena.
-	Store  Store
+	Store  *Store
 	tracer *obs.Tracer
 
 	opFree  []*StoreOp
@@ -474,7 +474,7 @@ func (shardRole) HandleRequest(_ shell.RequestSource, _ []byte, respond func([]b
 
 // AttachShard loads the shard role onto sh and wires the store to the
 // shell's service-datagram plane.
-func AttachShard(s *sim.Simulation, sh *shell.Shell, st Store) *Shard {
+func AttachShard(s *sim.Simulation, sh *shell.Shell, st *Store) *Shard {
 	d := newShard(s, sh, -1, st)
 	sh.LoadRole(shardRole{})
 	must(sh.SetServiceHandler(d.onDatagram))
@@ -485,13 +485,13 @@ func AttachShard(s *sim.Simulation, sh *shell.Shell, st Store) *Shard {
 // requests demux onto the slot's virtual channel and replies pay the
 // slot's egress token bucket. The role itself was loaded by the slot's
 // partial reconfiguration (haas.SlotFM wiring).
-func AttachShardSlot(s *sim.Simulation, sh *shell.Shell, slot int, st Store) *Shard {
+func AttachShardSlot(s *sim.Simulation, sh *shell.Shell, slot int, st *Store) *Shard {
 	d := newShard(s, sh, slot, st)
 	must(sh.SetServiceHandlerSlot(slot, []uint8{KindReq}, d.onDatagram))
 	return d
 }
 
-func newShard(s *sim.Simulation, sh *shell.Shell, slot int, st Store) *Shard {
+func newShard(s *sim.Simulation, sh *shell.Shell, slot int, st *Store) *Shard {
 	d := &Shard{s: s, sh: sh, slot: slot, Store: st, tracer: obs.TracerOf(s)}
 	if reg := obs.RegistryOf(s); reg != nil {
 		reg.Counter("kvcache.fabric_replies", "dgrams", "kvcache", "replies generated on-fabric (no host round-trip)", &d.Replies)
@@ -880,10 +880,6 @@ func (sv *Service) leaseSlot(i int) error {
 func (sv *Service) SlotClaims() []*haas.SlotClaim {
 	return append([]*haas.SlotClaim(nil), sv.slotClaims...)
 }
-
-// RM exposes the service's Resource Manager (E19 reads pool occupancy
-// and drives defragmentation through it).
-func (sv *Service) RM() *haas.ResourceManager { return sv.rm }
 
 // failover replaces a dead shard's lease. The replacement starts cold
 // (cache semantics: loss costs hit rate, not correctness); requests in

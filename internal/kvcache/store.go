@@ -15,13 +15,13 @@ import (
 // never leak into the model, mirroring the fixed comparator tree a
 // hardware lookup would be.
 //
-// Two directory designs exist behind the Store interface: the default
-// set-associative directory (one hash selects a set of Ways candidates,
-// LRU eviction) and a cuckoo directory (two hashes give every key two
-// candidate buckets; inserts relocate residents along a bounded BFS path
-// before giving up and evicting). Cuckoo trades insert-time DRAM moves
-// for a flatter collision curve, i.e. higher usable occupancy at the same
-// hit rate — the ROADMAP item 6 A/B.
+// One directory serves two designs. By default every key has one
+// candidate bucket of Ways slots (set-associative, LRU eviction). With
+// Cuckoo set, a second hash gives every key a partner bucket too, and
+// inserts relocate residents along a bounded BFS path before giving up
+// and evicting. Cuckoo trades insert-time DRAM moves for a flatter
+// collision curve, i.e. higher usable occupancy at the same hit rate —
+// the ROADMAP item 6 A/B.
 type StoreConfig struct {
 	// Sets x Ways is the directory geometry (buckets x slots for cuckoo;
 	// cuckoo rounds Sets up to a power of two for the partner-bucket XOR).
@@ -53,7 +53,7 @@ type StoreStats struct {
 	Collisions metrics.Counter // tag matched but DRAM key differed (hash alias)
 	Rejected   metrics.Counter // DRAM queue full: served as miss / dropped put
 
-	// Cuckoo-only counters (zero on the set-associative store).
+	// Cuckoo-only counters (zero on the set-associative directory).
 	CuckooKicks  metrics.Counter // resident entries relocated by inserts
 	CuckooAborts metrics.Counter // relocation chains invalidated mid-flight
 }
@@ -84,284 +84,43 @@ type StoreOp struct {
 	reply   []byte // reply datagram under construction
 }
 
-// Store is one shard's DRAM-backed cache behind either directory design.
-type Store interface {
-	// Get probes key; op.Done(op, hit, val) fires exactly once. The key
-	// is only read during the call (implementations copy what they need),
-	// so callers may reuse the backing buffer immediately.
-	Get(key []byte, op *StoreOp)
-	// Put inserts or overwrites key=val with the same aliasing contract.
-	Put(key, val []byte, op *StoreOp)
-	// Stats exposes the shared counter block.
-	Stats() *StoreStats
-	// Occupancy reports used and total directory slots.
-	Occupancy() (used, total int)
-	// Config returns the store geometry.
-	Config() StoreConfig
-}
-
-// NewStore builds the directory cfg selects (set-associative unless
-// cfg.Cuckoo). The arena [Base, Base+Sets*Ways*SlotBytes) must fit the
-// controller's capacity.
-func NewStore(s *sim.Simulation, mem *dram.Controller, cfg StoreConfig) Store {
-	if cfg.Cuckoo {
-		return NewCuckooStore(s, mem, cfg)
-	}
-	return NewSetAssocStore(s, mem, cfg)
-}
-
-// tagEntry is one SRAM directory slot.
-type tagEntry struct {
-	used   bool
-	hash   uint64
-	keyLen uint16
-	valLen uint16
-	last   uint64 // LRU clock at last touch
-}
-
-func registerStoreStats(s *sim.Simulation, st *StoreStats) {
-	if reg := obs.RegistryOf(s); reg != nil {
-		reg.Counter("kvcache.store_hits", "reqs", "kvcache", "GETs answered from the cache", &st.Hits)
-		reg.Counter("kvcache.store_misses", "reqs", "kvcache", "GETs not present", &st.Misses)
-		reg.Counter("kvcache.store_puts", "reqs", "kvcache", "PUTs applied", &st.Puts)
-		reg.Counter("kvcache.store_evictions", "entries", "kvcache", "valid entries displaced by PUTs", &st.Evictions)
-		reg.Counter("kvcache.store_collisions", "reqs", "kvcache", "tag hits disproved by the DRAM key", &st.Collisions)
-		reg.Counter("kvcache.store_rejected", "reqs", "kvcache", "DRAM queue-full rejections", &st.Rejected)
-		reg.Counter("kvcache.cuckoo_kicks", "entries", "kvcache", "resident entries relocated by inserts", &st.CuckooKicks)
-		reg.Counter("kvcache.cuckoo_aborts", "chains", "kvcache", "relocation chains invalidated mid-flight", &st.CuckooAborts)
-	}
-}
-
-// ---- Set-associative directory ----
-
-// SetAssocStore is the default shard cache: one hash selects a set, the
-// Ways candidates are compared, and a full set evicts LRU.
-type SetAssocStore struct {
-	s    *sim.Simulation
+// Store is one shard's DRAM-backed cache. A key hashes to one candidate
+// bucket (h % Sets), or to two when cfg.Cuckoo is set: the partner
+// bucket is b XOR a second hash of the key, the standard partner-bucket
+// trick. Lookups probe Ways slots per candidate bucket. An insert takes
+// the key's own slot, else a free slot; on a full cuckoo pair it
+// relocates residents along a BFS-shortest path of at most CuckooKicks
+// moves — each move a real DRAM read+write of the resident's slot, which
+// is the cost the directory A/B measures. Otherwise it evicts the LRU
+// way of the primary bucket (cache semantics: occupancy pressure costs
+// hit rate, never correctness).
+type Store struct {
 	mem  *dram.Controller
 	cfg  StoreConfig
+	mask uint64 // Sets-1; used for the partner bucket (Sets is a power of two under Cuckoo)
 	tags []tagEntry
 	tick uint64
 
-	// opFree pools the per-request DRAM-confirm state; wbuf is the
-	// reused key+value concatenation buffer for writes (the DRAM
-	// controller copies it synchronously).
-	opFree []*saOp
+	// opFree pools the per-request DRAM state; wbuf is the reused
+	// key+value concatenation buffer for writes (the DRAM controller
+	// copies it synchronously).
+	opFree []*storeOp
 	wbuf   []byte
 
-	stats StoreStats
-}
-
-// saOp carries one in-flight DRAM confirm/write for the set-assoc store.
-// The key is copied in (the request buffer is recycled long before the
-// DRAM transaction completes).
-type saOp struct {
-	st      *SetAssocStore
-	op      *StoreOp
-	key     []byte
-	kl, vl  int
-	evicted bool
-}
-
-// NewSetAssocStore builds a set-associative store over mem.
-func NewSetAssocStore(s *sim.Simulation, mem *dram.Controller, cfg StoreConfig) *SetAssocStore {
-	if cfg.Sets <= 0 || cfg.Ways <= 0 || cfg.SlotBytes <= 0 {
-		panic(fmt.Sprintf("kvcache: invalid store config %+v", cfg))
-	}
-	st := &SetAssocStore{s: s, mem: mem, cfg: cfg, tags: make([]tagEntry, cfg.Sets*cfg.Ways)}
-	registerStoreStats(s, &st.stats)
-	return st
-}
-
-// Config returns the store geometry.
-func (st *SetAssocStore) Config() StoreConfig { return st.cfg }
-
-// Stats exposes the counter block.
-func (st *SetAssocStore) Stats() *StoreStats { return &st.stats }
-
-// Occupancy reports used and total directory slots.
-func (st *SetAssocStore) Occupancy() (used, total int) {
-	for i := range st.tags {
-		if st.tags[i].used {
-			used++
-		}
-	}
-	return used, len(st.tags)
-}
-
-func (st *SetAssocStore) slotAddr(set, way int) int64 {
-	return st.cfg.Base + int64((set*st.cfg.Ways+way)*st.cfg.SlotBytes)
-}
-
-func (st *SetAssocStore) allocOp() *saOp {
-	if n := len(st.opFree); n > 0 {
-		o := st.opFree[n-1]
-		st.opFree = st.opFree[:n-1]
-		return o
-	}
-	return &saOp{st: st}
-}
-
-func (st *SetAssocStore) freeOp(o *saOp) {
-	o.op = nil
-	st.opFree = append(st.opFree, o)
-}
-
-// saGetDone completes a Get's DRAM confirm read.
-func saGetDone(arg any, data []byte) {
-	o := arg.(*saOp)
-	st, op := o.st, o.op
-	if !bytesEqual(data[:o.kl], o.key) {
-		st.stats.Collisions.Inc()
-		st.stats.Misses.Inc()
-		st.freeOp(o)
-		op.Done(op, false, nil)
-		return
-	}
-	st.stats.Hits.Inc()
-	val := data[o.kl : o.kl+o.vl]
-	st.freeOp(o)
-	op.Done(op, true, val)
-}
-
-// saPutDone completes a Put's DRAM write.
-func saPutDone(arg any, _ []byte) {
-	o := arg.(*saOp)
-	st, op, evicted := o.st, o.op, o.evicted
-	st.stats.Puts.Inc()
-	st.freeOp(o)
-	op.Evicted = evicted
-	op.Done(op, true, nil)
-}
-
-// Get looks key up: an SRAM directory probe, then (on a tag hit) a DRAM
-// read of the slot to fetch the value and disprove hash aliases. op.Done
-// fires exactly once; hit=false covers absent keys, aliases, and DRAM
-// pressure rejections alike — a cache never owes an answer, only speed.
-func (st *SetAssocStore) Get(key []byte, op *StoreOp) {
-	h := keyHash(key)
-	set := int(h % uint64(st.cfg.Sets))
-	st.tick++
-	for w := 0; w < st.cfg.Ways; w++ {
-		e := &st.tags[set*st.cfg.Ways+w]
-		if !e.used || e.hash != h || int(e.keyLen) != len(key) {
-			continue
-		}
-		e.last = st.tick
-		o := st.allocOp()
-		o.op = op
-		o.key = append(o.key[:0], key...)
-		o.kl, o.vl = int(e.keyLen), int(e.valLen)
-		err := st.mem.ReadCall(st.slotAddr(set, w), o.kl+o.vl, saGetDone, o)
-		if err != nil {
-			st.stats.Rejected.Inc()
-			st.stats.Misses.Inc()
-			st.freeOp(o)
-			op.Done(op, false, nil)
-		}
-		return
-	}
-	st.stats.Misses.Inc()
-	op.Done(op, false, nil)
-}
-
-// Put inserts or overwrites key. A full set evicts its least recently
-// used way. op.Done fires exactly once with ok=false when the entry is
-// too large for a slot or the DRAM controller rejected the write (the
-// entry is then invalidated rather than left stale).
-func (st *SetAssocStore) Put(key, val []byte, op *StoreOp) {
-	if len(key)+len(val) > st.cfg.SlotBytes {
-		op.Evicted = false
-		op.Done(op, false, nil)
-		return
-	}
-	h := keyHash(key)
-	set := int(h % uint64(st.cfg.Sets))
-	st.tick++
-
-	way, evicted := -1, false
-	// Overwrite an existing entry for the same hash/keyLen first.
-	for w := 0; w < st.cfg.Ways; w++ {
-		e := &st.tags[set*st.cfg.Ways+w]
-		if e.used && e.hash == h && int(e.keyLen) == len(key) {
-			way = w
-			break
-		}
-	}
-	if way < 0 { // then a free way
-		for w := 0; w < st.cfg.Ways; w++ {
-			if !st.tags[set*st.cfg.Ways+w].used {
-				way = w
-				break
-			}
-		}
-	}
-	if way < 0 { // else evict LRU
-		lru := uint64(1<<63 - 1)
-		for w := 0; w < st.cfg.Ways; w++ {
-			if e := &st.tags[set*st.cfg.Ways+w]; e.last < lru {
-				lru, way = e.last, w
-			}
-		}
-		evicted = true
-		st.stats.Evictions.Inc()
-	}
-
-	e := &st.tags[set*st.cfg.Ways+way]
-	st.wbuf = append(append(st.wbuf[:0], key...), val...)
-	o := st.allocOp()
-	o.op = op
-	o.evicted = evicted
-	err := st.mem.WriteCall(st.slotAddr(set, way), st.wbuf, saPutDone, o)
-	if err != nil {
-		st.stats.Rejected.Inc()
-		e.used = false // never leave a tag pointing at unwritten DRAM
-		st.freeOp(o)
-		op.Evicted = evicted
-		op.Done(op, false, nil)
-		return
-	}
-	e.used = true
-	e.hash = h
-	e.keyLen = uint16(len(key))
-	e.valLen = uint16(len(val))
-	e.last = st.tick
-}
-
-// ---- Cuckoo directory ----
-
-// CuckooStore hashes every key to two buckets (b2 = b1 XOR a second hash
-// of the key, the standard partner-bucket trick), probing 2 x Ways slots
-// per lookup. Inserts that find both buckets full relocate residents
-// along a BFS-shortest eviction path of at most CuckooKicks moves — each
-// move is a real DRAM read+write of the resident's slot, which is the
-// cost the A/B against the set-associative directory measures. When no
-// path exists within the bound, the insert falls back to evicting the
-// LRU way of the primary bucket (cache semantics: occupancy pressure
-// costs hit rate, never correctness).
-type CuckooStore struct {
-	s    *sim.Simulation
-	mem  *dram.Controller
-	cfg  StoreConfig
-	mask uint64 // Sets-1 (Sets is a power of two)
-	tags []tagEntry
-	tick uint64
-
-	opFree []*ckOp
-	wbuf   []byte
-
-	// BFS scratch, reused across inserts.
+	// Cuckoo BFS scratch, reused across inserts.
 	bfsSlot []int32 // visited slot ids in visit order
 	bfsPrev []int32 // parent index in bfsSlot (-1 = root)
 
 	stats StoreStats
 }
 
-// ckOp carries one in-flight cuckoo operation: a Get's DRAM confirm, a
-// fast-path Put write, or a relocation chain (read resident, write it to
-// its partner bucket, repeat up the path, finally write the new entry).
-type ckOp struct {
-	st      *CuckooStore
+// storeOp carries one in-flight operation: a Get's DRAM confirm, a Put's
+// write, or a cuckoo relocation chain (read resident, write it to its
+// partner bucket, repeat up the path, finally write the new entry). Key
+// and value are copied in when the operation outlives the call (the
+// request buffer is recycled long before the DRAM transaction completes).
+type storeOp struct {
+	st      *Store
 	op      *StoreOp
 	key     []byte
 	val     []byte
@@ -373,43 +132,59 @@ type ckOp struct {
 	// the end (the free slot) backwards.
 	path []int32
 	idx  int
-	get  bool
 }
 
-// NewCuckooStore builds a cuckoo store over mem. Sets is rounded up to a
-// power of two (the partner bucket is b XOR h2).
-func NewCuckooStore(s *sim.Simulation, mem *dram.Controller, cfg StoreConfig) *CuckooStore {
+// tagEntry is one SRAM directory slot.
+type tagEntry struct {
+	used   bool
+	hash   uint64
+	keyLen uint16
+	valLen uint16
+	last   uint64 // LRU clock at last touch
+}
+
+// NewStore builds a store over mem. Under cfg.Cuckoo, Sets is rounded up
+// to a power of two (the partner bucket is b XOR h2). The arena
+// [Base, Base+Sets*Ways*SlotBytes) must fit the controller's capacity.
+func NewStore(s *sim.Simulation, mem *dram.Controller, cfg StoreConfig) *Store {
 	if cfg.Sets <= 0 || cfg.Ways <= 0 || cfg.SlotBytes <= 0 {
 		panic(fmt.Sprintf("kvcache: invalid store config %+v", cfg))
 	}
-	sets := 1
-	for sets < cfg.Sets {
-		sets <<= 1
+	if cfg.Cuckoo {
+		sets := 1
+		for sets < cfg.Sets {
+			sets <<= 1
+		}
+		cfg.Sets = sets
+		if cfg.CuckooKicks <= 0 {
+			cfg.CuckooKicks = 8
+		}
 	}
-	cfg.Sets = sets
-	if cfg.CuckooKicks <= 0 {
-		cfg.CuckooKicks = 8
+	st := &Store{
+		mem: mem, cfg: cfg, mask: uint64(cfg.Sets - 1),
+		tags: make([]tagEntry, cfg.Sets*cfg.Ways),
 	}
-	st := &CuckooStore{
-		s: s, mem: mem, cfg: cfg, mask: uint64(sets - 1),
-		tags: make([]tagEntry, sets*cfg.Ways),
-	}
-	registerStoreStats(s, &st.stats)
 	if reg := obs.RegistryOf(s); reg != nil {
-		reg.Counter("kvcache.cuckoo_kicks", "moves", "kvcache", "resident entries relocated by cuckoo inserts", &st.stats.CuckooKicks)
+		reg.Counter("kvcache.store_hits", "reqs", "kvcache", "GETs answered from the cache", &st.stats.Hits)
+		reg.Counter("kvcache.store_misses", "reqs", "kvcache", "GETs not present", &st.stats.Misses)
+		reg.Counter("kvcache.store_puts", "reqs", "kvcache", "PUTs applied", &st.stats.Puts)
+		reg.Counter("kvcache.store_evictions", "entries", "kvcache", "valid entries displaced by PUTs", &st.stats.Evictions)
+		reg.Counter("kvcache.store_collisions", "reqs", "kvcache", "tag hits disproved by the DRAM key", &st.stats.Collisions)
+		reg.Counter("kvcache.store_rejected", "reqs", "kvcache", "DRAM queue-full rejections", &st.stats.Rejected)
+		reg.Counter("kvcache.cuckoo_kicks", "entries", "kvcache", "resident entries relocated by inserts", &st.stats.CuckooKicks)
 		reg.Counter("kvcache.cuckoo_aborts", "chains", "kvcache", "relocation chains invalidated mid-flight", &st.stats.CuckooAborts)
 	}
 	return st
 }
 
-// Config returns the store geometry (with Sets rounded up).
-func (st *CuckooStore) Config() StoreConfig { return st.cfg }
+// Config returns the store geometry (with Sets rounded up under Cuckoo).
+func (st *Store) Config() StoreConfig { return st.cfg }
 
 // Stats exposes the counter block.
-func (st *CuckooStore) Stats() *StoreStats { return &st.stats }
+func (st *Store) Stats() *StoreStats { return &st.stats }
 
 // Occupancy reports used and total directory slots.
-func (st *CuckooStore) Occupancy() (used, total int) {
+func (st *Store) Occupancy() (used, total int) {
 	for i := range st.tags {
 		if st.tags[i].used {
 			used++
@@ -418,9 +193,20 @@ func (st *CuckooStore) Occupancy() (used, total int) {
 	return used, len(st.tags)
 }
 
-// altHash mixes h into the partner-bucket offset. It must be nonzero so
-// the two candidate buckets always differ (splitmix64 finalizer).
-func (st *CuckooStore) altHash(h uint64) uint64 {
+// buckets returns the key's candidate buckets: bs[:n], primary first.
+func (st *Store) buckets(h uint64) (bs [2]int, n int) {
+	bs[0] = int(h % uint64(st.cfg.Sets))
+	if !st.cfg.Cuckoo {
+		return bs, 1
+	}
+	bs[1] = st.altBucket(bs[0], h)
+	return bs, 2
+}
+
+// altBucket returns the partner bucket of bucket b for hash h. The XOR
+// offset is a splitmix64 finalizer of h, forced nonzero so the two
+// candidate buckets always differ.
+func (st *Store) altBucket(b int, h uint64) int {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
@@ -428,42 +214,55 @@ func (st *CuckooStore) altHash(h uint64) uint64 {
 	if o == 0 {
 		o = 1
 	}
-	return o
+	return int((uint64(b) ^ o) & st.mask)
 }
 
-func (st *CuckooStore) buckets(h uint64) (int, int) {
-	b1 := int(h & st.mask)
-	b2 := int((uint64(b1) ^ st.altHash(h)) & st.mask)
-	return b1, b2
+// probe scans buckets bs in order and returns the slot holding hash h
+// with key length kl (-1 if none) and the first unused slot before it
+// (-1 if none).
+func (st *Store) probe(bs []int, h uint64, kl int) (hit, free int) {
+	free = -1
+	for _, b := range bs {
+		for slot := b * st.cfg.Ways; slot < (b+1)*st.cfg.Ways; slot++ {
+			switch e := &st.tags[slot]; {
+			case !e.used:
+				if free < 0 {
+					free = slot
+				}
+			case e.hash == h && int(e.keyLen) == kl:
+				return slot, free
+			}
+		}
+	}
+	return -1, free
 }
 
-// altBucket returns the partner bucket of slot (b) holding hash h.
-func (st *CuckooStore) altBucket(b int, h uint64) int {
-	return int((uint64(b) ^ st.altHash(h)) & st.mask)
-}
-
-func (st *CuckooStore) slotAddr(slot int) int64 {
+func (st *Store) slotAddr(slot int) int64 {
 	return st.cfg.Base + int64(slot*st.cfg.SlotBytes)
 }
 
-func (st *CuckooStore) allocOp() *ckOp {
+func (st *Store) allocOp(op *StoreOp) *storeOp {
+	var o *storeOp
 	if n := len(st.opFree); n > 0 {
-		o := st.opFree[n-1]
+		o = st.opFree[n-1]
 		st.opFree = st.opFree[:n-1]
-		return o
+	} else {
+		o = &storeOp{st: st}
 	}
-	return &ckOp{st: st}
+	o.op = op
+	o.evicted = false
+	return o
 }
 
-func (st *CuckooStore) freeOp(o *ckOp) {
+func (st *Store) freeOp(o *storeOp) {
 	o.op = nil
 	o.path = o.path[:0]
 	st.opFree = append(st.opFree, o)
 }
 
-// ckGetDone completes a Get's DRAM confirm read.
-func ckGetDone(arg any, data []byte) {
-	o := arg.(*ckOp)
+// getDone completes a Get's DRAM confirm read.
+func getDone(arg any, data []byte) {
+	o := arg.(*storeOp)
 	st, op := o.st, o.op
 	if !bytesEqual(data[:o.kl], o.key) {
 		st.stats.Collisions.Inc()
@@ -478,41 +277,38 @@ func ckGetDone(arg any, data []byte) {
 	op.Done(op, true, val)
 }
 
-// Get probes both candidate buckets, then confirms a tag hit in DRAM.
-func (st *CuckooStore) Get(key []byte, op *StoreOp) {
+// Get looks key up: an SRAM directory probe of every candidate bucket,
+// then (on a tag hit) a DRAM read of the slot to fetch the value and
+// disprove hash aliases. op.Done fires exactly once; hit=false covers
+// absent keys, aliases, and DRAM pressure rejections alike — a cache
+// never owes an answer, only speed. The key is only read during the
+// call, so callers may reuse its buffer immediately.
+func (st *Store) Get(key []byte, op *StoreOp) {
 	h := keyHash(key)
-	b1, b2 := st.buckets(h)
+	bs, n := st.buckets(h)
 	st.tick++
-	for _, b := range [2]int{b1, b2} {
-		for w := 0; w < st.cfg.Ways; w++ {
-			slot := b*st.cfg.Ways + w
-			e := &st.tags[slot]
-			if !e.used || e.hash != h || int(e.keyLen) != len(key) {
-				continue
-			}
-			e.last = st.tick
-			o := st.allocOp()
-			o.op = op
-			o.get = true
-			o.key = append(o.key[:0], key...)
-			o.kl, o.vl = int(e.keyLen), int(e.valLen)
-			err := st.mem.ReadCall(st.slotAddr(slot), o.kl+o.vl, ckGetDone, o)
-			if err != nil {
-				st.stats.Rejected.Inc()
-				st.stats.Misses.Inc()
-				st.freeOp(o)
-				op.Done(op, false, nil)
-			}
-			return
-		}
+	slot, _ := st.probe(bs[:n], h, len(key))
+	if slot < 0 {
+		st.stats.Misses.Inc()
+		op.Done(op, false, nil)
+		return
 	}
-	st.stats.Misses.Inc()
-	op.Done(op, false, nil)
+	e := &st.tags[slot]
+	e.last = st.tick
+	o := st.allocOp(op)
+	o.key = append(o.key[:0], key...)
+	o.kl, o.vl = int(e.keyLen), int(e.valLen)
+	if err := st.mem.ReadCall(st.slotAddr(slot), o.kl+o.vl, getDone, o); err != nil {
+		st.stats.Rejected.Inc()
+		st.stats.Misses.Inc()
+		st.freeOp(o)
+		op.Done(op, false, nil)
+	}
 }
 
-// ckPutDone completes the final (new-entry) DRAM write of a Put.
-func ckPutDone(arg any, _ []byte) {
-	o := arg.(*ckOp)
+// putDone completes the final (new-entry) DRAM write of a Put.
+func putDone(arg any, _ []byte) {
+	o := arg.(*storeOp)
 	st, op, evicted := o.st, o.op, o.evicted
 	st.stats.Puts.Inc()
 	st.freeOp(o)
@@ -521,15 +317,15 @@ func ckPutDone(arg any, _ []byte) {
 }
 
 // writeEntry issues the new entry's tag update and DRAM write into slot.
-func (st *CuckooStore) writeEntry(o *ckOp, slot int, h uint64, key, val []byte) {
+// A rejected write invalidates the slot rather than leave a tag pointing
+// at unwritten DRAM.
+func (st *Store) writeEntry(o *storeOp, slot int, h uint64, key, val []byte) {
 	e := &st.tags[slot]
 	st.wbuf = append(append(st.wbuf[:0], key...), val...)
-	err := st.mem.WriteCall(st.slotAddr(slot), st.wbuf, ckPutDone, o)
-	if err != nil {
+	if err := st.mem.WriteCall(st.slotAddr(slot), st.wbuf, putDone, o); err != nil {
 		st.stats.Rejected.Inc()
 		e.used = false
-		evicted := o.evicted
-		op := o.op
+		evicted, op := o.evicted, o.op
 		st.freeOp(o)
 		op.Evicted = evicted
 		op.Done(op, false, nil)
@@ -542,80 +338,63 @@ func (st *CuckooStore) writeEntry(o *ckOp, slot int, h uint64, key, val []byte) 
 	e.last = st.tick
 }
 
-// Put inserts or overwrites key=val. Fast paths (overwrite, free way)
-// cost one DRAM write like the set-associative store; a full pair of
-// buckets triggers the BFS relocation chain.
-func (st *CuckooStore) Put(key, val []byte, op *StoreOp) {
+// Put inserts or overwrites key=val with the same aliasing contract as
+// Get. It takes the key's existing slot first, then a free way in a
+// candidate bucket (primary first, like the paper's d-ary cuckoo
+// insert); both cost one DRAM write. A cuckoo insert into a full bucket
+// pair then tries a relocation chain. Otherwise the primary bucket's
+// least recently used way is evicted. op.Done fires exactly once with
+// ok=false when the entry is too large for a slot or the DRAM controller
+// rejected the write.
+func (st *Store) Put(key, val []byte, op *StoreOp) {
 	if len(key)+len(val) > st.cfg.SlotBytes {
 		op.Evicted = false
 		op.Done(op, false, nil)
 		return
 	}
 	h := keyHash(key)
-	b1, b2 := st.buckets(h)
+	bs, n := st.buckets(h)
 	st.tick++
+	o := st.allocOp(op)
 
-	// Overwrite an existing entry for the same hash/keyLen first.
-	for _, b := range [2]int{b1, b2} {
-		for w := 0; w < st.cfg.Ways; w++ {
-			slot := b*st.cfg.Ways + w
-			e := &st.tags[slot]
-			if e.used && e.hash == h && int(e.keyLen) == len(key) {
-				o := st.allocOp()
-				o.op = op
-				st.writeEntry(o, slot, h, key, val)
-				return
+	slot, free := st.probe(bs[:n], h, len(key))
+	if slot < 0 {
+		slot = free
+	}
+	if slot < 0 && n == 2 {
+		if o.path = st.findPath(bs, o.path[:0]); len(o.path) > 0 {
+			o.key = append(o.key[:0], key...)
+			o.val = append(o.val[:0], val...)
+			o.idx = len(o.path) - 1
+			st.moveNext(o)
+			return
+		}
+	}
+	if slot < 0 {
+		lru := uint64(1<<63 - 1)
+		for s := bs[0] * st.cfg.Ways; s < (bs[0]+1)*st.cfg.Ways; s++ {
+			if e := &st.tags[s]; e.last < lru {
+				lru, slot = e.last, s
 			}
 		}
+		o.evicted = true
+		st.stats.Evictions.Inc()
 	}
-	// Then a free way in either bucket (primary first, like the paper's
-	// d-ary cuckoo insert).
-	for _, b := range [2]int{b1, b2} {
-		for w := 0; w < st.cfg.Ways; w++ {
-			slot := b*st.cfg.Ways + w
-			if !st.tags[slot].used {
-				o := st.allocOp()
-				o.op = op
-				st.writeEntry(o, slot, h, key, val)
-				return
-			}
-		}
-	}
-	// Both buckets full: BFS for the shortest relocation chain.
-	if path := st.findPath(b1, b2); path != nil {
-		o := st.allocOp()
-		o.op = op
-		o.key = append(o.key[:0], key...)
-		o.val = append(o.val[:0], val...)
-		o.path = append(o.path[:0], path...)
-		o.idx = len(o.path) - 1
-		st.moveNext(o)
-		return
-	}
-	// No path within the kick bound: evict the primary bucket's LRU way.
-	way, lru := 0, uint64(1<<63-1)
-	for w := 0; w < st.cfg.Ways; w++ {
-		if e := &st.tags[b1*st.cfg.Ways+w]; e.last < lru {
-			lru, way = e.last, w
-		}
-	}
-	st.stats.Evictions.Inc()
-	o := st.allocOp()
-	o.op = op
-	o.evicted = true
-	st.writeEntry(o, b1*st.cfg.Ways+way, h, key, val)
+	st.writeEntry(o, slot, h, key, val)
 }
 
 // findPath BFS-searches for a chain slot_0 <- slot_1 <- ... <- slot_k
 // where slot_k's partner bucket has a free way, k < CuckooKicks, and
-// slot_0 is in one of the insert's candidate buckets. It returns the
-// slot ids, ending with the free slot the chain drains into.
-func (st *CuckooStore) findPath(b1, b2 int) []int32 {
+// slot_0 is in one of the insert's candidate buckets. It appends the
+// slot ids to path, ending with the free slot the chain drains into, and
+// returns path unchanged when no chain exists within the bound.
+func (st *Store) findPath(bs [2]int, path []int32) []int32 {
+	ways := st.cfg.Ways
 	st.bfsSlot = st.bfsSlot[:0]
 	st.bfsPrev = st.bfsPrev[:0]
-	for _, b := range [2]int{b1, b2} {
-		for w := 0; w < st.cfg.Ways; w++ {
-			st.bfsSlot = append(st.bfsSlot, int32(b*st.cfg.Ways+w))
+	for _, b := range bs {
+		for slot := b * ways; slot < (b+1)*ways; slot++ {
+			st.bfsSlot = append(st.bfsSlot, int32(slot))
 			st.bfsPrev = append(st.bfsPrev, -1)
 		}
 	}
@@ -624,19 +403,18 @@ func (st *CuckooStore) findPath(b1, b2 int) []int32 {
 	for depth := 0; depth < st.cfg.CuckooKicks && lo < hi; depth++ {
 		for i := lo; i < hi; i++ {
 			slot := int(st.bfsSlot[i])
-			e := &st.tags[slot]
-			alt := st.altBucket(slot/st.cfg.Ways, e.hash)
+			alt := st.altBucket(slot/ways, st.tags[slot].hash)
 			// A free way in the resident's partner bucket ends the search.
-			for w := 0; w < st.cfg.Ways; w++ {
-				dst := alt*st.cfg.Ways + w
+			for dst := alt * ways; dst < (alt+1)*ways; dst++ {
 				if !st.tags[dst].used {
-					path := []int32{int32(dst)}
+					start := len(path)
+					path = append(path, int32(dst))
 					for j := i; j >= 0; j = int(st.bfsPrev[j]) {
 						path = append(path, st.bfsSlot[j])
 					}
 					// Reverse into insert-order: path[0] = candidate
 					// bucket slot, ..., path[len-1] = free slot.
-					for a, b := 0, len(path)-1; a < b; a, b = a+1, b-1 {
+					for a, b := start, len(path)-1; a < b; a, b = a+1, b-1 {
 						path[a], path[b] = path[b], path[a]
 					}
 					return path
@@ -644,15 +422,15 @@ func (st *CuckooStore) findPath(b1, b2 int) []int32 {
 			}
 			// Otherwise the partner bucket's residents are the next level.
 			if len(st.bfsSlot) < 4*st.cfg.Sets { // frontier bound
-				for w := 0; w < st.cfg.Ways; w++ {
-					st.bfsSlot = append(st.bfsSlot, int32(alt*st.cfg.Ways+w))
+				for w := alt * ways; w < (alt+1)*ways; w++ {
+					st.bfsSlot = append(st.bfsSlot, int32(w))
 					st.bfsPrev = append(st.bfsPrev, int32(i))
 				}
 			}
 		}
 		lo, hi = hi, len(st.bfsSlot)
 	}
-	return nil
+	return path
 }
 
 // moveNext relocates the resident of path[idx-1] into path[idx] (a slot
@@ -661,29 +439,27 @@ func (st *CuckooStore) findPath(b1, b2 int) []int32 {
 // Chains interleave with other traffic at DRAM latency, so each step
 // re-validates its source and destination and aborts the chain into a
 // plain LRU eviction when the directory moved underneath it.
-func (st *CuckooStore) moveNext(o *ckOp) {
+func (st *Store) moveNext(o *storeOp) {
 	if o.idx == 0 {
-		h := keyHash(o.key)
-		st.writeEntry(o, int(o.path[0]), h, o.key, o.val)
+		st.writeEntry(o, int(o.path[0]), keyHash(o.key), o.key, o.val)
 		return
 	}
 	src, dst := int(o.path[o.idx-1]), int(o.path[o.idx])
 	se, de := &st.tags[src], &st.tags[dst]
-	if !se.used || de.used || st.altBucket(src/st.cfg.Ways, se.hash)*st.cfg.Ways > dst ||
-		dst >= (st.altBucket(src/st.cfg.Ways, se.hash)+1)*st.cfg.Ways {
+	if !se.used || de.used || dst/st.cfg.Ways != st.altBucket(src/st.cfg.Ways, se.hash) {
 		st.abortChain(o)
 		return
 	}
 	o.kl, o.vl = int(se.keyLen), int(se.valLen)
-	if err := st.mem.ReadCall(st.slotAddr(src), o.kl+o.vl, ckMoveRead, o); err != nil {
+	if err := st.mem.ReadCall(st.slotAddr(src), o.kl+o.vl, moveRead, o); err != nil {
 		st.stats.Rejected.Inc()
 		st.abortChain(o)
 	}
 }
 
-// ckMoveRead has the resident's bytes; write them into the destination.
-func ckMoveRead(arg any, data []byte) {
-	o := arg.(*ckOp)
+// moveRead has the resident's bytes; write them into the destination.
+func moveRead(arg any, data []byte) {
+	o := arg.(*storeOp)
 	st := o.st
 	src, dst := int(o.path[o.idx-1]), int(o.path[o.idx])
 	se, de := &st.tags[src], &st.tags[dst]
@@ -691,7 +467,7 @@ func ckMoveRead(arg any, data []byte) {
 		st.abortChain(o)
 		return
 	}
-	if err := st.mem.WriteCall(st.slotAddr(dst), data, ckMoveWrite, o); err != nil {
+	if err := st.mem.WriteCall(st.slotAddr(dst), data, moveWrite, o); err != nil {
 		st.stats.Rejected.Inc()
 		st.abortChain(o)
 		return
@@ -705,24 +481,23 @@ func ckMoveRead(arg any, data []byte) {
 	st.stats.CuckooKicks.Inc()
 }
 
-// ckMoveWrite completes one relocation; continue up the chain.
-func ckMoveWrite(arg any, _ []byte) {
-	o := arg.(*ckOp)
+// moveWrite completes one relocation; continue up the chain.
+func moveWrite(arg any, _ []byte) {
+	o := arg.(*storeOp)
 	o.idx--
 	o.st.moveNext(o)
 }
 
 // abortChain gives up on a relocation chain (directory changed or DRAM
 // pressure) and falls back to evicting the primary candidate slot.
-func (st *CuckooStore) abortChain(o *ckOp) {
+func (st *Store) abortChain(o *storeOp) {
 	st.stats.CuckooAborts.Inc()
 	slot := int(o.path[0])
 	if st.tags[slot].used {
 		st.stats.Evictions.Inc()
 		o.evicted = true
 	}
-	h := keyHash(o.key)
-	st.writeEntry(o, slot, h, o.key, o.val)
+	st.writeEntry(o, slot, keyHash(o.key), o.key, o.val)
 }
 
 func bytesEqual(a, b []byte) bool {

@@ -305,9 +305,9 @@ type Port struct {
 	// (or whether) the port ever needs randomness.
 	rng     *rand.Rand
 	rngSeed int64
-	peer  *Port
-	cfg   PortConfig
-	fault FaultHook
+	peer    *Port
+	cfg     PortConfig
+	fault   FaultHook
 
 	// queues are head-indexed so their capacity recycles: popping
 	// advances qhead and an emptied queue rewinds to offset 0, keeping

@@ -841,10 +841,10 @@ func (d *Dispatcher) Result() Result {
 		mode = "offload"
 	}
 	r := Result{
-		Mode:      mode,
-		Offered:   d.Stats.Ingress.Value(),
-		Completed: d.Stats.Replies.Value(),
-		Timeouts:  d.Stats.Timeouts.Value(),
+		Mode:        mode,
+		Offered:     d.Stats.Ingress.Value(),
+		Completed:   d.Stats.Replies.Value(),
+		Timeouts:    d.Stats.Timeouts.Value(),
 		HostBusy:    float64(d.hostBusyTotal) / float64(d.cfg.Duration),
 		Doorbells:   d.Stats.BatchFlushes.Value(),
 		BatchedReqs: d.Stats.BatchReqs.Value(),

@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -595,63 +594,6 @@ func TestFiredAndPending(t *testing.T) {
 	}
 }
 
-func TestTraceRecordsLabeledEvents(t *testing.T) {
-	s := New(1)
-	s.EnableTrace(8)
-	for i := 0; i < 3; i++ {
-		i := i
-		s.ScheduleLabeled(Time(i+1), "step", func() { _ = i })
-	}
-	s.Run()
-	tr := s.Trace()
-	if len(tr) != 3 {
-		t.Fatalf("trace length %d, want 3", len(tr))
-	}
-	for i, e := range tr {
-		if e.Label != "step" || e.At != Time(i+1) {
-			t.Fatalf("entry %d: %+v", i, e)
-		}
-	}
-	if got := s.TraceString(); !strings.Contains(got, "step") {
-		t.Errorf("TraceString missing label:\n%s", got)
-	}
-}
-
-func TestTraceRingWraps(t *testing.T) {
-	s := New(1)
-	s.EnableTrace(4)
-	for i := 0; i < 10; i++ {
-		s.Schedule(Time(i+1), func() {})
-	}
-	s.Run()
-	tr := s.Trace()
-	if len(tr) != 4 {
-		t.Fatalf("ring length %d, want 4", len(tr))
-	}
-	// Oldest-first ordering of the last four events (times 7..10).
-	for i, e := range tr {
-		if e.At != Time(7+i) {
-			t.Fatalf("ring order wrong: %+v", tr)
-		}
-	}
-}
-
-func TestTraceDisabled(t *testing.T) {
-	s := New(1)
-	s.Schedule(1, func() {})
-	s.Run()
-	if s.Trace() != nil {
-		t.Fatal("trace recorded while disabled")
-	}
-	s.EnableTrace(2)
-	s.EnableTrace(0) // disable again
-	s.Schedule(1, func() {})
-	s.Run()
-	if s.Trace() != nil {
-		t.Fatal("trace not disabled")
-	}
-}
-
 func TestNextEventTime(t *testing.T) {
 	s := New(1)
 	if _, ok := s.NextEventTime(); ok {
@@ -684,7 +626,7 @@ func TestNextEventTimeSkipsTombstones(t *testing.T) {
 	e1 := s.Schedule(10, func() { t.Fatal("cancelled event fired") })
 	e2 := s.Schedule(10, func() { t.Fatal("cancelled event fired") })
 	s.Schedule(10, func() {})
-	far := s.Schedule(1 << 20, func() { t.Fatal("cancelled event fired") })
+	far := s.Schedule(1<<20, func() { t.Fatal("cancelled event fired") })
 	s.Cancel(e1)
 	s.Cancel(e2)
 	if at, ok := s.NextEventTime(); !ok || at != 10 {

@@ -264,8 +264,8 @@ type Balancer struct {
 	// slotClaims maps lease id -> slot claim in slot mode (SlotALMs > 0);
 	// lease ids are then claim ids and leaseOf/leases work unchanged.
 	slotClaims map[int]*haas.SlotClaim
-	gossip  map[int]*sim.Ticker
-	unwire  map[int]func() // per-host teardown of a previous wiring epoch
+	gossip     map[int]*sim.Ticker
+	unwire     map[int]func() // per-host teardown of a previous wiring epoch
 
 	pending map[uint64]*pendingReq
 	nextReq uint64
