@@ -60,6 +60,59 @@ func TestLinkFaultsDeterministic(t *testing.T) {
 	}
 }
 
+// Link faults on ports that carry bytes-free background noise: drops,
+// duplicates, corruption and delays of noise frames neither panic (also
+// under paranoid re-decode) nor unbalance the books. On every faulted
+// port, frames reaching the peer equal frames sent minus injected drops
+// plus injected duplicates.
+func TestLinkFaultsOnNoise(t *testing.T) {
+	netsim.SetParanoid(true)
+	defer netsim.SetParanoid(false)
+
+	s := sim.New(23)
+	cfg := netsim.DefaultConfig()
+	cfg.HostsPerTOR = 4
+	cfg.TORsPerPod = 2
+	cfg.Pods = 2
+	dc := netsim.NewDatacenter(s, cfg)
+	dc.Host(0)
+	dc.Host(8) // second pod: both L1s and the L2 spine
+	in := New(s)
+	l1 := dc.L1(0)
+	ports := []*netsim.Port{l1.Port(0), l1.Port(cfg.TORsPerPod), dc.L2().Port(0)}
+	for _, p := range ports {
+		in.InjectLink(p, LinkFaults{
+			DropRate:    0.05,
+			DupRate:     0.05,
+			CorruptRate: 0.05,
+			DelayRate:   0.05,
+			Delay:       2 * sim.Microsecond,
+		})
+	}
+	dc.StartBackgroundLoad(0.3, pkt.ClassBestEffort, 700)
+	s.RunFor(2 * sim.Millisecond)
+	dc.StopBackgroundLoad()
+	s.RunFor(sim.Millisecond) // drain queues and delayed copies
+
+	for c := FrameDrop; c <= FrameDelay; c++ {
+		if in.Stats.Injected[c].Value() == 0 {
+			t.Fatalf("%v never fired on noise", c)
+		}
+	}
+	for _, p := range ports {
+		st := &p.Stats
+		if st.TxFrames.Value() == 0 {
+			t.Fatalf("port %d of %s carried no noise", p.Index(), p.Device().DeviceName())
+		}
+		want := st.TxFrames.Value() - st.DropsInjected.Value() + st.DupsInjected.Value()
+		if got := p.Peer().Stats.RxFrames.Value(); got != want {
+			t.Fatalf("port %d of %s: peer received %d, want %d (= %d sent - %d injected drops + %d injected dups)",
+				p.Index(), p.Device().DeviceName(), got, want,
+				st.TxFrames.Value(), st.DropsInjected.Value(), st.DupsInjected.Value())
+		}
+	}
+}
+
 // Kill/reboot lifecycle: a killed node stays down (no golden-image
 // auto-recovery) until reboot, and kill→bridge-up latency lands in the
 // recovery histogram.

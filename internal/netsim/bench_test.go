@@ -37,6 +37,29 @@ func BenchmarkNetsimHotPath(b *testing.B) {
 	}
 }
 
+// BenchmarkNoiseInject measures one background-noise frame end to end:
+// injection on an L1 port, queueing, serialization, propagation and the
+// drop at the TOR it reaches. It must report 0 allocs/op: a noise frame
+// is a bytes-free pooled packet riding pooled events.
+func BenchmarkNoiseInject(b *testing.B) {
+	s := sim.New(1)
+	dc := NewDatacenter(s, DefaultConfig())
+	dc.Host(0)
+	l1 := dc.L1(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l1.InjectNoise(0, pkt.ClassBestEffort, 1100)
+		if i%16 == 15 { // 16 frames stay below the RED threshold
+			s.Run()
+		}
+	}
+	s.Run()
+	if got := dc.TOR(0, 0).Stats.NoRoute.Value(); got != uint64(b.N) {
+		b.Fatalf("dropped %d/%d noise frames at the next hop", got, b.N)
+	}
+}
+
 // benchHotPath is the shared body for the observability on/off pair
 // below; enable toggles obs before the datacenter is built.
 func benchHotPath(b *testing.B, enable bool) {

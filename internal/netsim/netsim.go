@@ -8,7 +8,11 @@
 //
 // Devices (switches, hosts, FPGA shells) exchange fully encoded Ethernet
 // frames (see internal/pkt); everything a device learns about a frame it
-// learns by decoding bytes.
+// learns by decoding bytes. Background noise (Switch.InjectNoise) is the
+// one exception: a noise frame dies at the next hop, which reads only its
+// class, length and destination, so it travels as a decoded view with no
+// bytes. Packet.Bytes encodes that view on first use, and only the
+// paranoid re-decode check and the duplicate/corrupt fault paths read it.
 package netsim
 
 import (
@@ -33,6 +37,9 @@ type Device interface {
 }
 
 // Packet is a frame in flight: the encoded bytes plus a parsed view.
+// Noise packets (Switch.InjectNoise) carry the view alone, with Buf nil
+// until Bytes encodes it. Only switches receive noise, so code behind a
+// host or shell port may read Buf directly.
 //
 // Packets from NewPacket are pool-backed: the frame is decoded exactly
 // once, into storage embedded in the Packet, and the Packet is recycled
@@ -113,11 +120,11 @@ func EnqueueCall(v any) {
 	packet.NextPort.Enqueue(packet)
 }
 
-// verifyCached re-decodes packet.Buf and compares against the cached
-// view. Called by devices when paranoid mode is on.
+// verifyCached re-decodes the packet's bytes and compares against the
+// cached view. Called by devices when paranoid mode is on.
 func verifyCached(packet *Packet) {
 	var f pkt.Frame
-	if err := pkt.DecodeInto(&f, packet.Buf); err != nil {
+	if err := pkt.DecodeInto(&f, packet.Bytes()); err != nil {
 		panic(fmt.Sprintf("netsim: paranoid re-decode failed: %v", err))
 	}
 	if !reflect.DeepEqual(&f, packet.F) {
@@ -153,6 +160,21 @@ func NewPacketCopy(buf []byte) *Packet {
 	p.Buf = p.mem
 	p.F = &p.frame
 	return p
+}
+
+// Bytes returns the packet's wire bytes. A noise packet has none until the
+// first call, which encodes its Frame view (ECN mark included); later ECN
+// marks rewrite both, as for any packet.
+func (p *Packet) Bytes() []byte {
+	if p.Buf == nil && p.F == &p.frame {
+		f := p.F
+		p.Buf = pkt.EncodeUDP(f.Src, f.Dst, f.SrcIP, f.DstIP, f.SrcPort, f.DstPort,
+			f.Class(), f.TTL, f.IPID, f.Payload)
+		if f.ECN == pkt.ECNCE {
+			pkt.SetECNCE(p.Buf)
+		}
+	}
+	return p.Buf
 }
 
 // Free returns a pool-backed packet for reuse. Callers must prove the
@@ -440,7 +462,7 @@ func (p *Port) Enqueue(packet *Packet) bool {
 				float64(p.cfg.ECN.KMaxBytes-p.cfg.ECN.KMinBytes)
 		}
 		if p.rand().Float64() < pr {
-			pkt.SetECNCE(packet.Buf)
+			pkt.SetECNCE(packet.Buf) // no-op for a bytes-free noise packet
 			packet.F.ECN = pkt.ECNCE
 			p.Stats.ECNMarks.Inc()
 		}
@@ -614,7 +636,7 @@ func (p *Port) deliver(peer *Port, packet *Packet) {
 			return
 		case FaultDuplicate:
 			p.Stats.DupsInjected.Inc()
-			dup := NewPacket(append([]byte(nil), packet.Buf...))
+			dup := NewPacket(append([]byte(nil), packet.Bytes()...))
 			extra := d.Delay
 			if extra <= 0 {
 				extra = prop
@@ -623,7 +645,7 @@ func (p *Port) deliver(peer *Port, packet *Packet) {
 			p.propagate(prop+extra, dup)
 		case FaultCorrupt:
 			p.Stats.CorruptInjected.Inc()
-			buf := append([]byte(nil), packet.Buf...)
+			buf := append([]byte(nil), packet.Bytes()...)
 			if d.Corrupt != nil {
 				d.Corrupt(buf)
 			}

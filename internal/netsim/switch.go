@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/metrics"
@@ -203,17 +204,46 @@ func (sw *Switch) armPauseRefresh(in *Port, class pkt.TrafficClass) {
 // InjectNoise enqueues a synthetic background frame directly on egress
 // port out. It models cross-traffic from parts of the datacenter that are
 // not individually instantiated; the frame is addressed outside the
-// instantiated subgraph and vanishes at the next hop.
+// instantiated subgraph and vanishes at the next hop. size is clamped to
+// [64, pkt.MaxMTU]. The frame is a bytes-free pooled packet (see
+// Packet.Bytes), so steady-state injection allocates nothing.
 func (sw *Switch) InjectNoise(out int, class pkt.TrafficClass, size int) {
-	if size < 64 {
-		size = 64
+	sw.ports[out].Enqueue(newNoisePacket(class, size))
+}
+
+// noiseOverhead is a noise frame's size minus its payload: the untagged
+// Ethernet, IPv4 and UDP headers and the FCS.
+const noiseOverhead = pkt.EthHeaderLen + pkt.IPv4HeaderLen + pkt.UDPHeaderLen + pkt.EthFCSLen
+
+// noiseZeros backs every noise payload. Nothing writes a noise payload
+// in place (corruption faults mangle a copy), so all frames share it.
+var noiseZeros [pkt.MaxMTU - noiseOverhead]byte
+
+// noiseFrames holds, per traffic class, the decoded view of the noise
+// frame with an empty payload. Each is built by encoding and decoding the
+// real frame, so a noise packet's view matches its bytes by construction.
+var noiseFrames = func() (t [pkt.NumClasses]pkt.Frame) {
+	for c := range t {
+		buf := pkt.EncodeUDP(
+			pkt.MAC{0x02, 0xee, 0, 0, 0, 1}, pkt.Broadcast,
+			pkt.IP{255, 255, 255, 254}, pkt.IP{255, 255, 255, 255},
+			9, 9, pkt.TrafficClass(c), 1, 0, nil)
+		if err := pkt.DecodeInto(&t[c], buf); err != nil {
+			panic(fmt.Sprintf("netsim: noise template for class %d: %v", c, err))
+		}
 	}
-	payload := make([]byte, size-pkt.EthHeaderLen-pkt.IPv4HeaderLen-pkt.UDPHeaderLen-pkt.EthFCSLen)
-	buf := pkt.EncodeUDP(
-		pkt.MAC{0x02, 0xee, 0, 0, 0, 1}, pkt.Broadcast,
-		pkt.IP{255, 255, 255, 254}, pkt.IP{255, 255, 255, 255},
-		9, 9, class, 1, 0, payload)
-	sw.ports[out].Enqueue(NewPacket(buf))
+	return t
+}()
+
+// newNoisePacket returns a pooled, bytes-free noise packet of class c
+// whose untagged size is size, clamped to [64, pkt.MaxMTU].
+func newNoisePacket(c pkt.TrafficClass, size int) *Packet {
+	size = min(max(size, 64), pkt.MaxMTU)
+	p := packetPool.Get().(*Packet)
+	p.frame = noiseFrames[c]
+	p.frame.Payload = noiseZeros[:size-noiseOverhead]
+	p.F = &p.frame
+	return p
 }
 
 // IngressHeldBytes reports the PFC account for (ingress port, class) —

@@ -480,21 +480,11 @@ func (dc *Datacenter) StartBackgroundLoad(util float64, class pkt.TrafficClass, 
 			if port.Peer() == nil {
 				continue
 			}
-			i := i
-			meanGap := float64(meanSize*8) / (float64(port.cfg.Link.RateBps) * util) // seconds
-			var next func()
-			next = func() {
-				if dc.noiseGen != gen {
-					return
-				}
-				size := 64 + rng.Intn(2*meanSize-64)
-				if size > pkt.MaxMTU {
-					size = pkt.MaxMTU
-				}
-				sw.InjectNoise(i, class, size)
-				sw.sim.Schedule(sim.Time(rng.ExpFloat64()*meanGap*float64(sim.Second)), next)
+			n := &noiseInjector{
+				dc: dc, gen: gen, sw: sw, port: i, rng: rng, class: class, meanSize: meanSize,
+				meanGap: float64(meanSize*8) / (float64(port.cfg.Link.RateBps) * util),
 			}
-			sw.sim.Schedule(sim.Time(rng.ExpFloat64()*meanGap*float64(sim.Second)), next)
+			n.schedule()
 		}
 	}
 	if dc.l2 != nil {
@@ -507,3 +497,34 @@ func (dc *Datacenter) StartBackgroundLoad(util float64, class pkt.TrafficClass, 
 
 // StopBackgroundLoad halts all injectors started by StartBackgroundLoad.
 func (dc *Datacenter) StopBackgroundLoad() { dc.noiseGen++ }
+
+// noiseInjector is one port's Poisson noise stream. It is the
+// sim.ScheduleCall argument of its own next firing, so the stream runs
+// without a closure or a per-frame event allocation.
+type noiseInjector struct {
+	dc       *Datacenter
+	gen      int // dc.noiseGen at start; a mismatch stops the stream
+	sw       *Switch
+	port     int
+	rng      *rand.Rand
+	class    pkt.TrafficClass
+	meanSize int
+	meanGap  float64 // seconds
+}
+
+// schedule arms the next injection an exponential gap from now.
+func (n *noiseInjector) schedule() {
+	n.sw.sim.ScheduleCall(sim.Time(n.rng.ExpFloat64()*n.meanGap*float64(sim.Second)), injectNoise, n)
+}
+
+// injectNoise is the injector's sim.ScheduleCall callback: it sends one
+// frame of uniform size in [64, 2*meanSize), clamped to pkt.MaxMTU, and
+// arms the next.
+func injectNoise(v any) {
+	n := v.(*noiseInjector)
+	if n.dc.noiseGen != n.gen {
+		return
+	}
+	n.sw.InjectNoise(n.port, n.class, 64+n.rng.Intn(2*n.meanSize-64))
+	n.schedule()
+}
