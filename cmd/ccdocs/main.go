@@ -1,5 +1,5 @@
 // Command ccdocs is the documentation linter run by CI's docs job. It
-// enforces three repo invariants with nothing but the standard library:
+// enforces four repo invariants with nothing but the standard library:
 //
 //   - every relative markdown link in the repo's *.md files resolves to a
 //     file or directory that exists (anchors and external URLs are not
@@ -9,7 +9,12 @@
 //     section must not rot as packages are added, and
 //   - every metric, span, and event name registered in code appears in
 //     OBSERVABILITY.md and every name documented there is still
-//     registered by code (see telemetry.go for the extraction rules).
+//     registered by code (see telemetry.go for the extraction rules),
+//     and
+//   - every backticked Test… name in the living docs (testNameDocs)
+//     names a test function somewhere in the tree, so deleted or renamed
+//     tests cannot linger as citations. CHANGES.md is history and is
+//     not checked.
 //
 // Usage:
 //
@@ -21,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -34,6 +40,19 @@ import (
 // linkRe matches inline markdown links and images: [text](target).
 var linkRe = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)(?:\s+"[^"]*")?\)`)
 
+// codeSpanRe matches one inline code span; testNameRe matches a Go test
+// function name inside it (a subtest path such as TestX/case cites TestX).
+var (
+	codeSpanRe = regexp.MustCompile("`([^`]+)`")
+	testNameRe = regexp.MustCompile(`\bTest[A-Z0-9_]\w*`)
+)
+
+// testNameDocs are the docs whose test citations must resolve.
+var testNameDocs = []string{
+	"README.md", "DESIGN.md", "EXPERIMENTS.md", "OBSERVABILITY.md",
+	"ROADMAP.md", "perfbench/README.md",
+}
+
 func main() {
 	root := flag.String("root", ".", "repository root to lint")
 	flag.Parse()
@@ -42,6 +61,7 @@ func main() {
 	problems = append(problems, checkMarkdownLinks(*root)...)
 	problems = append(problems, checkPackageDocs(*root)...)
 	problems = append(problems, checkTelemetryDocs(*root)...)
+	problems = append(problems, checkTestNames(*root)...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {
@@ -159,6 +179,56 @@ func checkPackageDocs(root string) []string {
 			rel, _ := filepath.Rel(root, dir)
 			problems = append(problems,
 				fmt.Sprintf("%s: package has no package doc comment", rel))
+		}
+	}
+	return problems
+}
+
+// checkTestNames reports every backticked Test… name in testNameDocs
+// that no top-level func in a *_test.go file under root declares.
+func checkTestNames(root string) []string {
+	defined := map[string]bool{}
+	fset := token.NewFileSet()
+	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return nil
+		}
+		if d.IsDir() {
+			if d.Name() == ".git" || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil // go vet reports unparsable files
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				defined[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	var problems []string
+	for _, doc := range testNameDocs {
+		data, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(doc)))
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("%s: %v", doc, err))
+			continue
+		}
+		for ln, line := range strings.Split(string(data), "\n") {
+			for _, span := range codeSpanRe.FindAllStringSubmatch(line, -1) {
+				for _, name := range testNameRe.FindAllString(span[1], -1) {
+					if !defined[name] {
+						problems = append(problems,
+							fmt.Sprintf("%s:%d: cites unknown test %s", doc, ln+1, name))
+					}
+				}
+			}
 		}
 	}
 	return problems

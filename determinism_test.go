@@ -105,7 +105,9 @@ func TestFaultProfileReplayDeterminism(t *testing.T) {
 
 // Service-level load balancing replays bit-identically: for every policy,
 // the same seed yields the same routing-decision digest (RouteHash) and
-// the same percentile outputs, hedging and cancellation included.
+// the same percentile outputs, hedging and cancellation included. The
+// per-policy RouteHash is pinned, so a change that moves every run the
+// same way still fails.
 func TestSvcLBRoutingDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the balancer twice per policy")
@@ -116,11 +118,20 @@ func TestSvcLBRoutingDeterminism(t *testing.T) {
 	cfg.Duration = 100 * Millisecond
 	cfg.Drain = 50 * Millisecond
 	cfg.HedgeDelay = 2 * cfg.ServiceTime // exercise hedge + cancel paths too
+	pinned := map[string]uint64{
+		svclb.PolicyRandom:     0x92a073dfe9338b05,
+		svclb.PolicyRoundRobin: 0x0fe6eac0ccaef1c5,
+		svclb.PolicyJSQ:        0xfbf3cbda15f524e4,
+		svclb.PolicyP2C:        0x1390ca11a737b324,
+	}
 	for _, policy := range svclb.PolicyNames() {
 		cfg.Policy = policy
 		a, b := svclb.Run(cfg), svclb.Run(cfg)
 		if a.RouteHash != b.RouteHash {
 			t.Errorf("%s: routing decisions diverged: %x vs %x", policy, a.RouteHash, b.RouteHash)
+		}
+		if want, ok := pinned[policy]; !ok || a.RouteHash != want {
+			t.Errorf("%s: RouteHash = %#x, want pinned %#x", policy, a.RouteHash, want)
 		}
 		if a != b {
 			t.Errorf("%s: results diverged:\n%+v\n%+v", policy, a, b)

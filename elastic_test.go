@@ -3,101 +3,67 @@ package configcloud
 import (
 	"testing"
 
-	"repro/internal/haas"
-	"repro/internal/host"
 	"repro/internal/sim"
+	"repro/internal/svclb"
 	"repro/internal/workload"
 )
 
 // TestElasticPoolTracksDiurnalDemand is the full-stack version of the
 // paper's pool-elasticity claim: "As demand for a service grows or
 // shrinks, a global manager grows or shrinks the pools correspondingly."
-// A DNN-style service runs under an AutoScaler while the offered load
-// follows the diurnal curve; the leased FPGA count must track demand.
+// A packet-level svclb service runs under its p99-watermark autoscaler
+// while the offered load follows the diurnal curve; the leased FPGA
+// count must track demand, and no admitted request may be lost while
+// backends are leased and drained.
 func TestElasticPoolTracksDiurnalDemand(t *testing.T) {
-	s := sim.New(17)
 	const (
-		poolNodes   = 32
-		serviceTime = 250 * sim.Microsecond
-		dayLen      = 2 * sim.Second // compressed day
+		meanRate = 12000.0        // req/s; one FPGA serves 4000
+		dayLen   = 2 * sim.Second // compressed day
 	)
-
-	// HaaS pool.
-	rm := haas.NewResourceManager(s, haas.RMConfig{
-		HealthPollInterval: 100 * sim.Millisecond,
-		PodOf:              func(id haas.NodeID) int { return 0 },
-	})
-	engines := map[haas.NodeID]*host.CPU{}
-	for i := 0; i < poolNodes; i++ {
-		id := haas.NodeID(i)
-		engines[id] = host.NewCPU(s, 1)
-		rm.Register(&haas.FPGAManager{
-			Node:      id,
-			Configure: func(string) {},
-			Healthy:   func() bool { return true },
-		})
+	cfg := svclb.DefaultConfig()
+	cfg.Seed = 17
+	cfg.Clients = 8
+	cfg.FPGAs = 2
+	cfg.Spares = 0
+	cfg.Warmup, cfg.Duration = 0, 0
+	cfg.BackgroundLoad = 0
+	cfg.ReqBytes = 256 // keeps the on-chip router cheap; the test is about the pool
+	cfg.Autoscale = svclb.AutoscaleConfig{
+		Interval: 50 * sim.Millisecond,
+		HighP99:  8 * cfg.ServiceTime,
+		LowP99:   3 * cfg.ServiceTime,
+		Min:      2,
+		Max:      8,
 	}
-	sm := haas.NewServiceManager(s, rm, "dnn", "dnn-v1")
-	if err := sm.Scale(2, haas.Constraints{Pod: -1}); err != nil {
-		t.Fatal(err)
-	}
+	sv := svclb.NewService(cfg)
+	s := sv.Sim()
 
-	// Utilization signal: mean utilization of the leased engines over the
-	// last control period (approximate with instantaneous busy fraction
-	// plus queue pressure).
-	leasedUtil := func() float64 {
-		members := sm.Members()
-		if len(members) == 0 {
-			return 1
-		}
-		busy, queued := 0, 0
-		for _, id := range members {
-			busy += engines[id].Busy()
-			queued += engines[id].Queued()
-		}
-		u := float64(busy) / float64(len(members))
-		if queued > 0 {
-			u = 1
-		}
-		return u
-	}
-	asCfg := haas.DefaultAutoScaleConfig()
-	asCfg.Min, asCfg.Max = 2, poolNodes
-	asCfg.Interval = 50 * sim.Millisecond
-	asCfg.Step = 2
-	as := haas.NewAutoScaler(s, sm, asCfg, leasedUtil)
-
-	// Diurnal demand: mean 12k req/s, swinging ~2.2x peak/trough; each
-	// request occupies one engine for serviceTime, so demand ranges from
-	// ~1.5 to ~7+ engines' worth of work.
+	// Diurnal demand, from ~1.9 to ~4.1 FPGAs' worth of work.
 	diurnal := workload.DefaultDiurnal()
 	rng := s.NewRand()
-	rr := 0
-	gen := workload.NewOpenLoop(s, 12000, func() {
-		members := sm.Members()
-		if len(members) == 0 {
-			return
-		}
-		id := members[rr%len(members)]
-		rr++
-		engines[id].Submit(serviceTime, nil)
+	next := 0
+	gen := workload.NewOpenLoop(s, meanRate, func() {
+		sv.Submit(next%cfg.Clients, svclb.Request{})
+		next++
 	})
 	gen.Start()
 	s.Every(10*sim.Millisecond, 10*sim.Millisecond, func() {
 		day := sim.Time(float64(s.Now()) * float64(sim.Day) / float64(dayLen))
-		gen.SetRate(12000 * diurnal.Load(day, rng))
+		gen.SetRate(meanRate * diurnal.Load(day, rng))
 	})
 
 	// Sample pool size at trough (start of day) and peak (midday) over
 	// two days.
 	var troughSizes, peakSizes []int
-	s.Every(dayLen/8, dayLen, func() { troughSizes = append(troughSizes, as.Size()) })
-	s.Every(dayLen/2, dayLen, func() { peakSizes = append(peakSizes, as.Size()) })
+	size := func() int { return sv.Result().FinalBackends }
+	s.Every(dayLen/8, dayLen, func() { troughSizes = append(troughSizes, size()) })
+	s.Every(dayLen/2, dayLen, func() { peakSizes = append(peakSizes, size()) })
 
 	s.RunUntil(2 * dayLen)
 	gen.Stop()
-	as.Stop()
-	rm.Stop()
+	s.RunUntil(2*dayLen + cfg.Drain)
+	sv.Stop()
+	r := sv.Result()
 
 	if len(peakSizes) < 2 || len(troughSizes) < 2 {
 		t.Fatalf("samples: peak=%v trough=%v", peakSizes, troughSizes)
@@ -109,8 +75,10 @@ func TestElasticPoolTracksDiurnalDemand(t *testing.T) {
 		t.Fatalf("pool did not track demand: peak=%d trough=%d (history peak=%v trough=%v)",
 			peak, trough, peakSizes, troughSizes)
 	}
-	if as.Grown.Value() == 0 || as.Shrunk.Value() == 0 {
-		t.Errorf("controller never cycled: grown=%d shrunk=%d",
-			as.Grown.Value(), as.Shrunk.Value())
+	if r.Grown == 0 || r.Shrunk == 0 {
+		t.Errorf("controller never cycled: grown=%d shrunk=%d", r.Grown, r.Shrunk)
+	}
+	if r.Admitted != r.Completed {
+		t.Errorf("admitted %d but completed %d across scaling", r.Admitted, r.Completed)
 	}
 }

@@ -68,11 +68,6 @@ type FPGAManager struct {
 	Configure func(image string)
 	// Healthy reports node liveness (polled by the RM).
 	Healthy func() bool
-	// Depth reports the node's outstanding-work depth (queued plus
-	// in-service requests). Optional; nil reports as -1 in NodeView so
-	// service-level schedulers and tests can read load without reaching
-	// into the data plane.
-	Depth func() int
 }
 
 // RMConfig parameterizes the Resource Manager.
@@ -180,45 +175,6 @@ func (rm *ResourceManager) NodeStateOf(id NodeID) NodeState {
 		return e.state
 	}
 	return NodeDead
-}
-
-// NodeView is the RM's status-report view of one node, as assembled from
-// FPGA Manager reports: lease state, pod placement, and the FM's
-// outstanding-work depth (-1 when the FM does not report one).
-type NodeView struct {
-	Node  NodeID
-	State NodeState
-	Pod   int
-	Depth int
-}
-
-// NodeViewOf returns the status view for one node (ok=false if the node
-// was never registered).
-func (rm *ResourceManager) NodeViewOf(id NodeID) (NodeView, bool) {
-	e, ok := rm.nodes[id]
-	if !ok {
-		return NodeView{}, false
-	}
-	return rm.viewOf(e), true
-}
-
-// NodeViews returns the status view of every registered node in node-id
-// order (deterministic iteration for schedulers and tests).
-func (rm *ResourceManager) NodeViews() []NodeView {
-	out := make([]NodeView, 0, len(rm.nodes))
-	for _, e := range rm.nodes {
-		out = append(out, rm.viewOf(e))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
-}
-
-func (rm *ResourceManager) viewOf(e *nodeEntry) NodeView {
-	v := NodeView{Node: e.id, State: e.state, Pod: rm.cfg.PodOf(e.id), Depth: -1}
-	if e.fm.Depth != nil {
-		v.Depth = e.fm.Depth()
-	}
-	return v
 }
 
 // Lease grants a Component satisfying the constraints, configuring each
@@ -400,8 +356,7 @@ type ServiceManager struct {
 	comp *Component
 	rr   int
 
-	Reconfigured metrics.Counter
-	Repaired     metrics.Counter
+	Repaired metrics.Counter
 }
 
 // NewServiceManager creates an SM (no resources yet; call Scale).

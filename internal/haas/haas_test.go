@@ -257,57 +257,3 @@ func TestInvalidLeaseCount(t *testing.T) {
 	}
 	rm.Stop()
 }
-
-func TestNodeViewsCarryDepthAndState(t *testing.T) {
-	s := sim.New(1)
-	rm := NewResourceManager(s, RMConfig{
-		PodOf: func(id NodeID) int { return int(id) / 2 },
-	})
-	depths := map[NodeID]int{0: 3, 1: 0}
-	for i := 0; i < 3; i++ {
-		id := NodeID(i)
-		fm := &FPGAManager{
-			Node:      id,
-			Configure: func(string) {},
-			Healthy:   func() bool { return true },
-		}
-		if i < 2 {
-			fm.Depth = func() int { return depths[id] }
-		}
-		rm.Register(fm)
-	}
-	if _, err := rm.Lease("svc", "img", Constraints{Count: 1, Pod: -1}, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	views := rm.NodeViews()
-	if len(views) != 3 {
-		t.Fatalf("got %d views, want 3", len(views))
-	}
-	for i, v := range views {
-		if int(v.Node) != i {
-			t.Fatalf("views not in node order: %v", views)
-		}
-	}
-	if views[0].Depth != 3 || views[1].Depth != 0 {
-		t.Fatalf("depths = %d,%d, want 3,0", views[0].Depth, views[1].Depth)
-	}
-	if views[2].Depth != -1 {
-		t.Fatalf("depth without FM hook = %d, want -1", views[2].Depth)
-	}
-	if views[0].State != NodeLeased {
-		t.Fatalf("node 0 state = %v, want leased", views[0].State)
-	}
-	if views[0].Pod != 0 || views[2].Pod != 1 {
-		t.Fatalf("pods = %d,%d, want 0,1", views[0].Pod, views[2].Pod)
-	}
-
-	depths[0] = 7
-	if v, ok := rm.NodeViewOf(0); !ok || v.Depth != 7 {
-		t.Fatalf("NodeViewOf(0) = %+v,%v, want live depth 7", v, ok)
-	}
-	if _, ok := rm.NodeViewOf(99); ok {
-		t.Fatal("NodeViewOf invented an unregistered node")
-	}
-	rm.Stop()
-}

@@ -74,15 +74,10 @@ type SlotRequest struct {
 	// service whose demux key cannot distinguish co-located slots needs
 	// this; it is also the availability-domain constraint).
 	DistinctNodes bool
-	// Avoid excludes boards from placement — how a service keeps a
-	// replacement claim off the boards its other members already occupy.
-	Avoid []NodeID
 	// OnReady fires when a claim's slot finishes reconfiguring (also
-	// after each defrag move of the claim).
+	// after each defrag move of the claim, once its Node/Slot are
+	// updated).
 	OnReady func(c *SlotClaim)
-	// OnMove fires when a defrag move of the claim completes, after the
-	// claim's Node/Slot are updated and before OnReady.
-	OnMove func(c *SlotClaim, fromNode NodeID, fromSlot int)
 	// OnFailure fires when the claim's board dies (the lessee re-leases).
 	OnFailure func(c *SlotClaim)
 }
@@ -219,13 +214,9 @@ func (rm *ResourceManager) LeaseSlots(req SlotRequest) ([]*SlotClaim, error) {
 	}
 	cands := rm.freeSlots(req.ALMs)
 	var picks []slotCandidate
-	avoid := map[NodeID]bool{}
-	for _, id := range req.Avoid {
-		avoid[id] = true
-	}
 	usedNode := map[NodeID]bool{}
 	for _, c := range cands {
-		if avoid[c.node] || (req.DistinctNodes && usedNode[c.node]) {
+		if req.DistinctNodes && usedNode[c.node] {
 			continue
 		}
 		picks = append(picks, c)
@@ -500,22 +491,18 @@ func (rm *ResourceManager) startMove(c *SlotClaim, dest slotCandidate) {
 		if !ok || c.moveTo == nil || c.moveTo.node != dest.node {
 			return // cancelled by death of the destination or release
 		}
-		fromNode, fromSlot := c.Node, c.Slot
-		if se, ok := rm.nodes[fromNode]; ok && se.slots != nil {
-			if se.slots.claims[fromSlot] == c {
-				se.slots.claims[fromSlot] = nil
+		if se, ok := rm.nodes[c.Node]; ok && se.slots != nil {
+			if se.slots.claims[c.Slot] == c {
+				se.slots.claims[c.Slot] = nil
 			}
 			if se.state != NodeDead && se.slots.fm.ClearSlot != nil {
-				se.slots.fm.ClearSlot(fromSlot)
+				se.slots.fm.ClearSlot(c.Slot)
 			}
 		}
 		c.Node, c.Slot = dest.node, dest.slot
 		c.moveTo = nil
 		rm.Slot.DefragMoves.Inc()
 		rm.Slot.ReconfigWait.Observe(int64(rm.sim.Now() - grantAt))
-		if c.req.OnMove != nil {
-			c.req.OnMove(c, fromNode, fromSlot)
-		}
 		if c.req.OnReady != nil {
 			c.req.OnReady(c)
 		}

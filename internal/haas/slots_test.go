@@ -244,13 +244,13 @@ func TestDefragmentDrainsSparseBoards(t *testing.T) {
 	// one tenant stranded per board. Defrag should drain the
 	// least-loaded board onto a fuller one by live reconfig.
 	var all, churn []*SlotClaim
-	var moves []string
+	var ready []string // every claim's (node, slot) each time it serves
 	for i, alms := range []int{40000, 30000, 10000} {
 		for j, alloc := range []int{alms, 20000} {
 			c, err := rm.LeaseSlots(SlotRequest{
 				Tenant: fmt.Sprintf("t%d", i), ALMs: alloc, Count: 1,
-				OnMove: func(c *SlotClaim, fromNode NodeID, fromSlot int) {
-					moves = append(moves, fmt.Sprintf("%s:%d.%d->%d.%d", c.Tenant, fromNode, fromSlot, c.Node, c.Slot))
+				OnReady: func(c *SlotClaim) {
+					ready = append(ready, fmt.Sprintf("%s@%d.%d", c.Tenant, c.Node, c.Slot))
 				},
 			})
 			if err != nil {
@@ -276,7 +276,7 @@ func TestDefragmentDrainsSparseBoards(t *testing.T) {
 	}
 	s.RunFor(5 * sim.Millisecond)
 	if got := rm.SlotBoardsInUse(); got >= 3 {
-		t.Errorf("boards in use = %d after defrag, want < 3 (moves: %v)", got, moves)
+		t.Errorf("boards in use = %d after defrag, want < 3 (ready: %v)", got, ready)
 	}
 	if got := int(rm.Slot.DefragMoves.Value()); got != started {
 		t.Errorf("defrag_moves = %d, started %d", got, started)

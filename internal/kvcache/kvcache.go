@@ -75,15 +75,6 @@ type Config struct {
 	// Store sizes each shard's directory and DRAM arena.
 	Store StoreConfig
 
-	// SlotALMs, when positive, leases each shard as a vFPGA slot claim of
-	// that ALM footprint instead of a whole board: the pool registers with
-	// HaaS per slot, shards load by partial reconfiguration, and the
-	// boards' remaining slots stay open for other tenants (E19).
-	SlotALMs int
-	// SlotsPerBoard partitions standalone pool shells (default 2); on a
-	// shared fabric the caller slots the shells it passes in.
-	SlotsPerBoard int
-
 	// FaultProfile optionally names a faultinject profile applied to the
 	// shard pool's links and boards (incast, pfcstorm, ...).
 	FaultProfile string
@@ -687,9 +678,6 @@ type Service struct {
 	shardHosts []int
 	// shards maps pool host -> its Shard (built at lease configure).
 	shards map[int]*Shard
-	// slotClaims[i] is slice i's (node, slot) claim in slot mode
-	// (cfg.SlotALMs > 0); nil entries are awaiting re-lease.
-	slotClaims []*haas.SlotClaim
 
 	rm *haas.ResourceManager
 	in *faultinject.Injector
@@ -719,15 +707,7 @@ func NewService(cfg Config) *Service {
 	dcCfg := netsim.DefaultConfig()
 	shells := map[int]*shell.Shell{}
 	dcCfg.Interposer = func(dc *netsim.Datacenter, hostID int) netsim.Interposer {
-		shCfg := shell.DefaultConfig()
-		if cfg.SlotALMs > 0 {
-			n := cfg.SlotsPerBoard
-			if n < 2 {
-				n = 2
-			}
-			shCfg.Slots = shell.DefaultSlotConfig(n)
-		}
-		sh := shell.New(dc.Sim, hostID, netsim.DefaultPortConfig(), shCfg)
+		sh := shell.New(dc.Sim, hostID, netsim.DefaultPortConfig(), shell.DefaultConfig())
 		shells[hostID] = sh
 		return sh
 	}
@@ -779,30 +759,14 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 	for _, h := range poolHosts {
 		h := h
 		sv.in.AddNode(h, shells[h])
-		fm := &haas.FPGAManager{
+		sv.rm.Register(&haas.FPGAManager{
 			Node: haas.NodeID(h),
 			Configure: func(string) {
 				st := NewStore(s, shells[h].DRAM, cfg.Store)
 				sv.shards[h] = AttachShard(s, shells[h], st)
 			},
 			Healthy: func() bool { return sv.in.NodeAlive(h) },
-			Depth:   func() int { return 0 },
-		}
-		if cfg.SlotALMs > 0 {
-			if shells[h].NumSlots() == 0 {
-				panic(fmt.Sprintf("kvcache: SlotALMs set but shell %d has no vFPGA slots", h))
-			}
-			sv.rm.RegisterSlots(&haas.SlotFM{
-				FM:   fm,
-				Caps: shells[h].SlotCaps(),
-				ConfigureSlot: func(slot int, tenant, image string, alms int, done func(ok bool)) (sim.Time, error) {
-					return shells[h].ReconfigureSlot(slot, tenant, shardRole{}, alms, done)
-				},
-				ClearSlot: func(slot int) error { return shells[h].ClearSlot(slot) },
-			})
-		} else {
-			sv.rm.Register(fm)
-		}
+		})
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		if err := sv.lease(i); err != nil {
@@ -821,9 +785,6 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 
 // lease acquires (or replaces) the shard serving keyspace slice i.
 func (sv *Service) lease(i int) error {
-	if sv.cfg.SlotALMs > 0 {
-		return sv.leaseSlot(i)
-	}
 	comp, err := sv.rm.Lease("kvcache", shardImage, haas.Constraints{Count: 1, Pod: -1},
 		func(haas.NodeID) { sv.failover(i) })
 	if err != nil {
@@ -831,54 +792,6 @@ func (sv *Service) lease(i int) error {
 	}
 	sv.shardHosts[i] = int(comp.Nodes[0])
 	return nil
-}
-
-// leaseSlot claims one vFPGA slot for keyspace slice i. The shard's
-// request kind demuxes per board, so every slice keeps off the boards
-// the other slices occupy; requests arriving during the slot's partial
-// reconfiguration are swallowed and surface as client timeouts.
-func (sv *Service) leaseSlot(i int) error {
-	if sv.slotClaims == nil {
-		sv.slotClaims = make([]*haas.SlotClaim, sv.cfg.Shards)
-	}
-	var avoid []haas.NodeID
-	for j, c := range sv.slotClaims {
-		if j != i && c != nil {
-			avoid = append(avoid, c.Node)
-		}
-	}
-	claims, err := sv.rm.LeaseSlots(haas.SlotRequest{
-		Tenant: "kvcache", Image: shardImage, ALMs: sv.cfg.SlotALMs,
-		Count: 1, Avoid: avoid,
-		OnReady: func(c *haas.SlotClaim) {
-			h := int(c.Node)
-			st := NewStore(sv.s, sv.shells[h].DRAM, sv.cfg.Store)
-			sv.shards[h] = AttachShardSlot(sv.s, sv.shells[h], c.Slot, st)
-		},
-		OnMove: func(c *haas.SlotClaim, fromNode haas.NodeID, fromSlot int) {
-			// Defrag cutover: route slice i at the new board (the
-			// following OnReady re-attaches the store there). The cache
-			// restarts cold, like a failover — loss costs hit rate only.
-			delete(sv.shards, int(fromNode))
-			sv.shardHosts[i] = int(c.Node)
-		},
-		OnFailure: func(c *haas.SlotClaim) {
-			sv.slotClaims[i] = nil
-			delete(sv.shards, int(c.Node))
-			sv.failover(i)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	sv.slotClaims[i] = claims[0]
-	sv.shardHosts[i] = int(claims[0].Node)
-	return nil
-}
-
-// SlotClaims reports the per-slice slot claims (slot mode only).
-func (sv *Service) SlotClaims() []*haas.SlotClaim {
-	return append([]*haas.SlotClaim(nil), sv.slotClaims...)
 }
 
 // failover replaces a dead shard's lease. The replacement starts cold

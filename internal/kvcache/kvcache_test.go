@@ -50,6 +50,11 @@ func TestRunDeterminism(t *testing.T) {
 	if a != b {
 		t.Fatalf("same-seed runs diverged:\n a=%+v\n b=%+v", a, b)
 	}
+	// Pinned so a refactor that moves every run the same way still fails.
+	const want uint64 = 0x18902ebcbb60bb74
+	if a.Digest != want {
+		t.Fatalf("digest = %#x, want pinned %#x", a.Digest, want)
+	}
 	c := Run(smallConfig(24))
 	if c.Digest == a.Digest {
 		t.Fatalf("different seeds produced equal digests (%d)", a.Digest)

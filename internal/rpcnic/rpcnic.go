@@ -434,12 +434,6 @@ func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*s
 			Node:      haas.NodeID(h),
 			Configure: func(string) { d.attachBackend(h) },
 			Healthy:   func() bool { return d.in.NodeAlive(h) },
-			Depth: func() int {
-				if q := d.queues[h]; q != nil {
-					return q.Depth()
-				}
-				return -1
-			},
 		})
 	}
 	for i := 0; i < cfg.Backends; i++ {

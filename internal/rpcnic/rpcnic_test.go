@@ -94,12 +94,18 @@ func TestOffloadBeatsHost(t *testing.T) {
 // TestRunDeterminism: same seed and mode — identical digest, route hash,
 // and counters across runs.
 func TestRunDeterminism(t *testing.T) {
+	// Pinned digests, so a refactor that moves every run the same way
+	// still fails.
+	pinned := map[bool]uint64{true: 0xf6dec331ad9681de, false: 0x334efc6381cdd89a}
 	for _, offload := range []bool{true, false} {
 		a := Run(smallConfig(19, offload))
 		b := Run(smallConfig(19, offload))
 		a.Record, b.Record = nil, nil
 		if a != b {
 			t.Fatalf("same-seed %s runs diverged:\n a=%+v\n b=%+v", a.Mode, a, b)
+		}
+		if a.Digest != pinned[offload] {
+			t.Fatalf("%s digest = %#x, want pinned %#x", a.Mode, a.Digest, pinned[offload])
 		}
 	}
 	a := Run(smallConfig(19, true))

@@ -54,11 +54,8 @@ type SlotConfig struct {
 	// region. Partial reconfiguration rewrites the whole PR region, so
 	// cost scales with slot capacity, not with the incoming role's size.
 	ReconfigPerALM sim.Time
-	// EgressRateBps caps each slot's service-datagram egress bandwidth
-	// (token bucket; 0 = unshaped). Per-slot overrides via
-	// SetSlotEgressRate.
-	EgressRateBps int64
 	// EgressBurstBytes is the token-bucket depth (default one 9KB burst).
+	// Every slot starts unshaped; SetSlotEgressRate sets a slot's rate.
 	EgressBurstBytes int
 }
 
@@ -187,7 +184,7 @@ func (sh *Shell) initSlots() {
 	for i := 0; i < sc.Count; i++ {
 		sh.slots = append(sh.slots, &vSlot{
 			index: i, cap: caps[i], vc: slotVCBase + i,
-			bucket: tokenBucket{rateBps: sc.EgressRateBps, burst: burst, tokens: burst},
+			bucket: tokenBucket{burst: burst, tokens: burst},
 		})
 	}
 	sh.kindSlot = make(map[uint8]int)
@@ -202,9 +199,6 @@ func (sh *Shell) initSlots() {
 		r.Counter("shell.tenant.dgrams_dropped", "dgrams", "shell", "datagrams swallowed by a down or reprogramming slot", &sh.Tenant.DgramsDropped)
 	}
 }
-
-// NumSlots reports the shell's vFPGA slot count (0 = single-role shell).
-func (sh *Shell) NumSlots() int { return len(sh.slots) }
 
 // SlotCaps returns each slot's ALM capacity.
 func (sh *Shell) SlotCaps() []int {

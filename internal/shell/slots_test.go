@@ -38,10 +38,10 @@ func TestSlotPartitionAndVCs(t *testing.T) {
 	dc, shells := slotBed(s, DefaultSlotConfig(2))
 	dc.Host(0)
 	sh := shells[0]
-	if sh.NumSlots() != 2 {
-		t.Fatalf("NumSlots = %d, want 2", sh.NumSlots())
-	}
 	caps := sh.SlotCaps()
+	if len(caps) != 2 {
+		t.Fatalf("%d slots, want 2", len(caps))
+	}
 	want := RoleRegionALMs() / 2
 	for i, c := range caps {
 		if c != want {
@@ -366,8 +366,8 @@ func TestSingleRoleShellUnchanged(t *testing.T) {
 	dc, shells := slotBed(s, SlotConfig{})
 	dc.Host(0)
 	sh := shells[0]
-	if sh.NumSlots() != 0 {
-		t.Fatalf("NumSlots = %d on an unslotted shell", sh.NumSlots())
+	if n := len(sh.SlotCaps()); n != 0 {
+		t.Fatalf("%d slots on an unslotted shell", n)
 	}
 	if _, err := sh.ReconfigureSlot(0, "t", tenantRole{"r"}, 1, nil); err == nil {
 		t.Error("ReconfigureSlot succeeded on an unslotted shell")

@@ -9,7 +9,8 @@ import (
 // compares its p99 against the watermarks — above HighP99 it leases one
 // more FPGA from the RM (if any are free and Max allows), below LowP99 it
 // drains and releases the newest backend (down to Min). Interval <= 0
-// disables scaling.
+// disables scaling; otherwise NewServiceOn (and so NewService and Run)
+// starts the controller and Service.Stop stops it.
 type AutoscaleConfig struct {
 	Interval sim.Time
 	HighP99  sim.Time

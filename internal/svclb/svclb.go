@@ -86,16 +86,6 @@ type Config struct {
 	// RMPoll is the HaaS health-poll period (failure-detection latency).
 	RMPoll sim.Time
 
-	// SlotALMs, when positive, leases each backend as a vFPGA slot claim
-	// of that ALM footprint instead of a whole board: the pool registers
-	// with HaaS per slot and leases map to (node, slot). The data plane
-	// still keys backends by host, so at most one svclb slot per board is
-	// claimed (replacement claims avoid boards the pool already uses).
-	SlotALMs int
-	// SlotsPerBoard partitions standalone pool shells (default 2); on a
-	// shared fabric the caller slots the shells it passes in.
-	SlotsPerBoard int
-
 	Autoscale AutoscaleConfig
 
 	// KillAt, when positive, hard-kills one pool FPGA at that time; the
@@ -261,11 +251,9 @@ type Balancer struct {
 	queues  map[int]*WorkQueue
 	leaseOf map[int]int // backend host -> lease id
 	leases  []int       // grant order (shrink pops the newest)
-	// slotClaims maps lease id -> slot claim in slot mode (SlotALMs > 0);
-	// lease ids are then claim ids and leaseOf/leases work unchanged.
-	slotClaims map[int]*haas.SlotClaim
-	gossip     map[int]*sim.Ticker
-	unwire     map[int]func() // per-host teardown of a previous wiring epoch
+	gossip  map[int]*sim.Ticker
+	unwire  map[int]func() // per-host teardown of a previous wiring epoch
+	as      *autoscaler    // nil unless Config.Autoscale.Interval > 0
 
 	pending map[uint64]*pendingReq
 	nextReq uint64
@@ -355,15 +343,7 @@ func NewService(cfg Config) *Service {
 	dcCfg := netsim.DefaultConfig()
 	shells := map[int]*shell.Shell{}
 	dcCfg.Interposer = func(dc *netsim.Datacenter, hostID int) netsim.Interposer {
-		shCfg := shell.DefaultConfig()
-		if cfg.SlotALMs > 0 {
-			n := cfg.SlotsPerBoard
-			if n < 2 {
-				n = 2
-			}
-			shCfg.Slots = shell.DefaultSlotConfig(n)
-		}
-		sh := shell.New(dc.Sim, hostID, netsim.DefaultPortConfig(), shCfg)
+		sh := shell.New(dc.Sim, hostID, netsim.DefaultPortConfig(), shell.DefaultConfig())
 		shells[hostID] = sh
 		return sh
 	}
@@ -437,38 +417,14 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 		PodOf:              func(id haas.NodeID) int { p, _, _ := dc.Locate(int(id)); return p },
 	})
 	b.in = faultinject.New(s)
-	if cfg.SlotALMs > 0 {
-		b.slotClaims = map[int]*haas.SlotClaim{}
-	}
 	for _, h := range poolHosts {
 		h := h
 		b.in.AddNode(h, shells[h])
-		fm := &haas.FPGAManager{
+		b.rm.Register(&haas.FPGAManager{
 			Node:      haas.NodeID(h),
 			Configure: func(string) { shells[h].LoadRole(svcRole{}) },
 			Healthy:   func() bool { return b.in.NodeAlive(h) },
-			Depth: func() int {
-				if q := b.queues[h]; q != nil {
-					return q.Depth()
-				}
-				return -1
-			},
-		}
-		if cfg.SlotALMs > 0 {
-			if shells[h].NumSlots() == 0 {
-				panic(fmt.Sprintf("svclb: SlotALMs set but shell %d has no vFPGA slots", h))
-			}
-			b.rm.RegisterSlots(&haas.SlotFM{
-				FM:   fm,
-				Caps: shells[h].SlotCaps(),
-				ConfigureSlot: func(slot int, tenant, image string, alms int, done func(ok bool)) (sim.Time, error) {
-					return shells[h].ReconfigureSlot(slot, tenant, svcRole{}, alms, done)
-				},
-				ClearSlot: func(slot int) error { return shells[h].ClearSlot(slot) },
-			})
-		} else {
-			b.rm.Register(fm)
-		}
+		})
 	}
 
 	// The SM host terminates the depth gossip.
@@ -484,6 +440,9 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 		}
 	}
 	b.started = true
+	if cfg.Autoscale.Interval > 0 {
+		b.as = b.startAutoscaler()
+	}
 	return &Service{b: b}
 }
 
@@ -515,11 +474,14 @@ func (sv *Service) Admission(svc sim.Time) Admission {
 	return sv.b.admission(svc)
 }
 
-// Stop releases control-plane resources (the HaaS health poll and
-// depth gossip). In-flight requests still complete if the caller keeps
-// running the simulation.
+// Stop releases control-plane resources (the HaaS health poll, the
+// autoscaler and depth gossip). In-flight requests still complete if the
+// caller keeps running the simulation.
 func (sv *Service) Stop() {
 	sv.b.rm.Stop()
+	if sv.b.as != nil {
+		sv.b.as.stop()
+	}
 	for _, t := range sv.b.gossip {
 		t.Stop()
 	}
@@ -542,11 +504,6 @@ func Run(cfg Config) Result {
 		gens[ci].Start()
 	}
 
-	var as *autoscaler
-	if cfg.Autoscale.Interval > 0 {
-		as = b.startAutoscaler()
-	}
-
 	if cfg.KillAt > 0 {
 		s.Schedule(cfg.KillAt, func() {
 			live := b.router.Live()
@@ -565,10 +522,7 @@ func Run(cfg Config) Result {
 		g.Stop()
 	}
 	s.RunUntil(end + cfg.Drain)
-	b.rm.Stop()
-	if as != nil {
-		as.stop()
-	}
+	sv.Stop()
 	return b.result()
 }
 
@@ -813,9 +767,6 @@ func (b *Balancer) onResponse(ci int, sl *Slot, reqID uint64) {
 
 // grow leases one more FPGA and wires it into the pool.
 func (b *Balancer) grow() error {
-	if b.cfg.SlotALMs > 0 {
-		return b.growSlot()
-	}
 	var lid int
 	comp, err := b.rm.Lease("svclb", serviceImage, haas.Constraints{Count: 1, Pod: -1},
 		func(dead haas.NodeID) { b.onNodeFailure(lid, dead) })
@@ -827,34 +778,6 @@ func (b *Balancer) grow() error {
 	for _, n := range comp.Nodes {
 		b.addBackend(int(n), lid)
 	}
-	if b.started {
-		b.grown.Inc()
-	}
-	return nil
-}
-
-// growSlot leases one vFPGA slot as the next backend. Backends key the
-// data plane by host, so the claim avoids boards the pool already uses;
-// the backend wires immediately and the slot's reconfiguration window
-// plays the same part as a whole board's role load.
-func (b *Balancer) growSlot() error {
-	avoid := make([]haas.NodeID, 0, len(b.leaseOf))
-	for h := range b.leaseOf {
-		avoid = append(avoid, haas.NodeID(h))
-	}
-	sort.Slice(avoid, func(i, j int) bool { return avoid[i] < avoid[j] })
-	claims, err := b.rm.LeaseSlots(haas.SlotRequest{
-		Tenant: "svclb", Image: serviceImage, ALMs: b.cfg.SlotALMs,
-		Count: 1, Avoid: avoid,
-		OnFailure: func(c *haas.SlotClaim) { b.onSlotFailure(c) },
-	})
-	if err != nil {
-		return err
-	}
-	c := claims[0]
-	b.slotClaims[c.ID] = c
-	b.leases = append(b.leases, c.ID)
-	b.addBackend(int(c.Node), c.ID)
 	if b.started {
 		b.grown.Inc()
 	}
@@ -883,12 +806,7 @@ func (b *Balancer) shrink() {
 	}
 	// In-flight work on the drained backend still completes: the lease is
 	// returned but the connections stay up until the host is re-wired.
-	if c, ok := b.slotClaims[lid]; ok {
-		delete(b.slotClaims, lid)
-		b.rm.ReleaseSlot(c)
-	} else {
-		b.rm.Release(lid)
-	}
+	b.rm.Release(lid)
 	b.shrunk.Inc()
 }
 
@@ -963,48 +881,6 @@ func (b *Balancer) onNodeFailure(lid int, dead haas.NodeID) {
 
 	if repl, err := b.rm.ReplaceNode(lid, dead, serviceImage); err == nil {
 		b.addBackend(int(repl), lid)
-	}
-	b.resendOrphans()
-}
-
-// onSlotFailure is the slot-claim analogue of onNodeFailure: unwire the
-// dead board's backend, lease a replacement slot elsewhere, and resend
-// the requests that died with it.
-func (b *Balancer) onSlotFailure(c *haas.SlotClaim) {
-	b.failovers.Inc()
-	h := int(c.Node)
-	if sl := b.router.SlotOnHost(h); sl != nil {
-		b.router.RemoveSlot(sl)
-	}
-	if t := b.gossip[h]; t != nil {
-		t.Stop()
-		delete(b.gossip, h)
-	}
-	delete(b.leaseOf, h)
-	delete(b.unwire, h) // the dead shell's connections die with it
-	delete(b.slotClaims, c.ID)
-	for i, lid := range b.leases {
-		if lid == c.ID {
-			b.leases = append(b.leases[:i], b.leases[i+1:]...)
-			break
-		}
-	}
-
-	avoid := make([]haas.NodeID, 0, len(b.leaseOf)+1)
-	avoid = append(avoid, c.Node)
-	for bh := range b.leaseOf {
-		avoid = append(avoid, haas.NodeID(bh))
-	}
-	sort.Slice(avoid, func(i, j int) bool { return avoid[i] < avoid[j] })
-	if claims, err := b.rm.LeaseSlots(haas.SlotRequest{
-		Tenant: "svclb", Image: serviceImage, ALMs: b.cfg.SlotALMs,
-		Count: 1, Avoid: avoid,
-		OnFailure: func(c *haas.SlotClaim) { b.onSlotFailure(c) },
-	}); err == nil {
-		repl := claims[0]
-		b.slotClaims[repl.ID] = repl
-		b.leases = append(b.leases, repl.ID)
-		b.addBackend(int(repl.Node), repl.ID)
 	}
 	b.resendOrphans()
 }
