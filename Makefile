@@ -27,13 +27,13 @@ bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...
 
 # Hot-path benchmark packages: the sim kernel, the shard coordinator,
-# the fabric, and the on-fabric network services. BENCH_10.json is the
-# committed baseline the CI perf guard compares fresh runs against:
-# ns/op within ±15%, allocs/op a hard ceiling (±2%). The baseline was
-# captured at GOMAXPROCS=1 and ccbench drops the -N proc suffix, so both
-# targets pin -cpu 1: allocs/op of the parallel shard benches depends on
-# the proc count.
-BENCH_PKGS = ./internal/sim/... ./internal/netsim/ ./internal/kvcache/ ./internal/rpcnic/
+# the fabric, the Elastic Router, and the on-fabric network services.
+# BENCH_10.json is the committed baseline the CI perf guard compares
+# fresh runs against: ns/op within ±15%, allocs/op a hard ceiling
+# (±2%). The baseline was captured at GOMAXPROCS=1 and ccbench drops the
+# -N proc suffix, so both targets pin -cpu 1: allocs/op of the parallel
+# shard benches depends on the proc count.
+BENCH_PKGS = ./internal/sim/... ./internal/netsim/ ./internal/er/ ./internal/kvcache/ ./internal/rpcnic/
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=200ms -cpu 1 $(BENCH_PKGS) | $(GO) run ./cmd/ccbench -o BENCH_10.json
 

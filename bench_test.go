@@ -452,27 +452,6 @@ func BenchmarkSimScheduling(b *testing.B) {
 	s.Run()
 }
 
-func BenchmarkERMessage(b *testing.B) {
-	s := sim.New(1)
-	cfg := er.DefaultConfig()
-	r := er.New(s, cfg)
-	terms := make([]*er.Terminal, cfg.Ports)
-	for p := 0; p < cfg.Ports; p++ {
-		terms[p] = er.NewTerminal(s, r, p, p, 4*cfg.VCs)
-	}
-	n := 0
-	terms[er.PortRemote].OnMessage = func(*er.Message) { n++ }
-	payload := make([]byte, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		terms[er.PortRole].Send(er.PortRemote, 0, payload)
-		s.RunFor(sim.Microsecond)
-	}
-	if n == 0 {
-		b.Fatal("no deliveries")
-	}
-}
-
 func BenchmarkLTLSameTORMessage(b *testing.B) {
 	cloud := New(Options{Seed: 41})
 	a, c := cloud.Node(0), cloud.Node(1)

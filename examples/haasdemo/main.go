@@ -25,9 +25,7 @@ func main() {
 	const nodes = 12
 	alive := map[haas.NodeID]bool{}
 
-	rm := haas.NewResourceManager(cloud.Sim, haas.RMConfig{
-		PodOf: func(id haas.NodeID) int { p, _, _ := cloud.DC.Locate(int(id)); return p },
-	})
+	rm := haas.NewResourceManager(cloud.Sim, haas.RMConfig{})
 	for i := 0; i < nodes; i++ {
 		id := haas.NodeID(i)
 		alive[id] = true
@@ -43,8 +41,8 @@ func main() {
 
 	ranking := haas.NewServiceManager(cloud.Sim, rm, "ranking", "rank-v2")
 	dnn := haas.NewServiceManager(cloud.Sim, rm, "dnn", "dnn-v1")
-	check(ranking.Scale(5, haas.Constraints{Pod: -1}))
-	check(dnn.Scale(4, haas.Constraints{Pod: -1}))
+	check(ranking.Scale(5, haas.Constraints{}))
+	check(dnn.Scale(4, haas.Constraints{}))
 	fmt.Printf("pool: %d FPGAs; ranking leased %v; dnn leased %v; free %d\n",
 		nodes, ranking.Members(), dnn.Members(), rm.FreeCount())
 

@@ -552,9 +552,7 @@ func ExpBioinfo() *Table {
 func ExpHaaS() *Table {
 	s := sim.New(5)
 	healthy := map[haas.NodeID]*bool{}
-	rm := haas.NewResourceManager(s, haas.RMConfig{
-		PodOf: func(id haas.NodeID) int { return int(id) / 8 },
-	})
+	rm := haas.NewResourceManager(s, haas.RMConfig{})
 	const nodes = 16
 	for i := 0; i < nodes; i++ {
 		ok := true
@@ -568,8 +566,8 @@ func ExpHaaS() *Table {
 	}
 	smA := haas.NewServiceManager(s, rm, "ranking", "rank-v2")
 	smB := haas.NewServiceManager(s, rm, "dnn", "dnn-v1")
-	must(smA.Scale(6, haas.Constraints{Pod: -1}))
-	must(smB.Scale(4, haas.Constraints{Pod: -1}))
+	must(smA.Scale(6, haas.Constraints{}))
+	must(smB.Scale(4, haas.Constraints{}))
 	freeBefore := rm.FreeCount()
 
 	victim := smA.Members()[2]

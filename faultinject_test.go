@@ -30,7 +30,6 @@ func TestKillFPGAMidRunHaaSReleasesAndLTLExactlyOnce(t *testing.T) {
 
 	rm := haas.NewResourceManager(cloud.Sim, haas.RMConfig{
 		HealthPollInterval: 500 * Microsecond,
-		PodOf:              func(haas.NodeID) int { return 0 },
 	})
 	for _, id := range pool {
 		id := id
@@ -41,7 +40,7 @@ func TestKillFPGAMidRunHaaSReleasesAndLTLExactlyOnce(t *testing.T) {
 		})
 	}
 	sm := haas.NewServiceManager(cloud.Sim, rm, "echo", "echo-v1")
-	if err := sm.Scale(1, haas.Constraints{Pod: -1}); err != nil {
+	if err := sm.Scale(1, haas.Constraints{}); err != nil {
 		t.Fatalf("initial lease: %v", err)
 	}
 	victim := int(sm.Members()[0])

@@ -112,9 +112,7 @@ func RunRemote(cfg Config) Result {
 	}
 
 	// HaaS manages the pool: one service manager leases all pool FPGAs.
-	rm := haas.NewResourceManager(s, haas.RMConfig{
-		PodOf: func(id haas.NodeID) int { p, _, _ := dc.Locate(int(id)); return p },
-	})
+	rm := haas.NewResourceManager(s, haas.RMConfig{})
 	for _, h := range poolHosts {
 		h := h
 		rm.Register(&haas.FPGAManager{
@@ -124,7 +122,7 @@ func RunRemote(cfg Config) Result {
 		})
 	}
 	sm := haas.NewServiceManager(s, rm, "dnn", "dnn-v1")
-	if err := sm.Scale(cfg.FPGAs, haas.Constraints{Pod: -1}); err != nil {
+	if err := sm.Scale(cfg.FPGAs, haas.Constraints{}); err != nil {
 		panic(fmt.Sprintf("dnnpool: %v", err))
 	}
 

@@ -304,6 +304,47 @@ func TestSendInvalidVCPanics(t *testing.T) {
 	terms[0].Send(1, 7, []byte("x"))
 }
 
+// A terminal reassembles one message per VC at a time; a flit that would
+// interleave into an open message on its VC is a router bug and panics.
+// Messages on different VCs may interleave freely.
+func TestTerminalInterleavedFlitPanics(t *testing.T) {
+	open := &Flit{Head: true, VC: 0, SrcNode: 1, MsgID: 1, Data: []byte("a")}
+	for _, tc := range []struct {
+		name string
+		next *Flit
+	}{
+		{"head from another source", &Flit{Head: true, VC: 0, SrcNode: 2, MsgID: 1}},
+		{"head of the next message", &Flit{Head: true, Tail: true, VC: 0, SrcNode: 1, MsgID: 2}},
+		{"body from another source", &Flit{Tail: true, VC: 0, SrcNode: 2, MsgID: 1}},
+		{"body of another message", &Flit{Tail: true, VC: 0, SrcNode: 1, MsgID: 2}},
+	} {
+		func() {
+			s := sim.New(1)
+			_, terms := buildRouter(s, DefaultConfig())
+			first := *open
+			terms[0].AcceptFlit(&first)
+			other := &Flit{Head: true, Tail: true, VC: 1, SrcNode: 2, MsgID: 1}
+			terms[0].AcceptFlit(other) // another VC: no conflict
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: interleaved flit accepted", tc.name)
+				}
+			}()
+			next := *tc.next
+			terms[0].AcceptFlit(&next)
+		}()
+	}
+
+	s := sim.New(1)
+	_, terms := buildRouter(s, DefaultConfig())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("body flit with no head accepted")
+		}
+	}()
+	terms[0].AcceptFlit(&Flit{Tail: true, VC: 0, SrcNode: 1, MsgID: 1})
+}
+
 // Property: any batch of messages across random ports/VCs is delivered
 // exactly once, uncorrupted, for both elastic and static credit policies.
 func TestPropertyDelivery(t *testing.T) {

@@ -14,16 +14,14 @@ import (
 //
 // Port plan per router: 0 = local terminal, 1 = east, 2 = west,
 // 3 = north, 4 = south. Node id = y*W + x.
-func buildMesh(t *testing.T, s *sim.Simulation, w, h int) ([]*Router, []*Terminal) {
-	t.Helper()
+func buildMesh(s *sim.Simulation, w, h int, base Config) ([]*Router, []*Terminal) {
 	routers := make([]*Router, w*h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			x, y := x, y
-			cfg := DefaultConfig()
+			cfg := base
 			cfg.Name = fmt.Sprintf("mesh-%d-%d", x, y)
 			cfg.Ports = 5
-			cfg.BufFlits = 64
 			cfg.Route = func(dst int) int {
 				dx, dy := dst%w, dst/w
 				switch {
@@ -62,7 +60,7 @@ func buildMesh(t *testing.T, s *sim.Simulation, w, h int) ([]*Router, []*Termina
 func TestMeshAllPairs(t *testing.T) {
 	s := sim.New(1)
 	const w, h = 3, 3
-	_, terms := buildMesh(t, s, w, h)
+	_, terms := buildMesh(s, w, h, DefaultConfig())
 	type rx struct{ src, dst int }
 	got := map[rx][]byte{}
 	for i := range terms {
@@ -90,7 +88,7 @@ func TestMeshAllPairs(t *testing.T) {
 func TestMeshLatencyGrowsWithHops(t *testing.T) {
 	s := sim.New(1)
 	const w, h = 4, 1 // a line: hop count is just |dx|
-	_, terms := buildMesh(t, s, w, h)
+	_, terms := buildMesh(s, w, h, DefaultConfig())
 	payload := make([]byte, 4*32)
 	var times []sim.Time
 	for d := 1; d < w; d++ {
@@ -114,7 +112,7 @@ func TestMeshCornerToCornerBulk(t *testing.T) {
 	// order, uncorrupted, with credits drained back to zero occupancy.
 	s := sim.New(1)
 	const w, h = 3, 3
-	routers, terms := buildMesh(t, s, w, h)
+	routers, terms := buildMesh(s, w, h, DefaultConfig())
 	var msgs [][]byte
 	terms[w*h-1].OnMessage = func(m *Message) {
 		msgs = append(msgs, append([]byte(nil), m.Payload...))

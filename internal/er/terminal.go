@@ -87,8 +87,10 @@ type Terminal struct {
 	// sendq holds flits awaiting credits, per VC.
 	sendq []flitFIFO
 
-	// reassembly state per (src, vc, msgID).
-	partial map[partialKey]*Message
+	// rx[vc] is the message being reassembled on vc. Wormhole VC
+	// ownership at the router output delivers each VC's flits head to
+	// tail, never interleaved, so one open message per VC suffices.
+	rx []reassembly
 
 	// creditArgs[vc] is the preallocated argument for returnCreditCall.
 	creditArgs []creditArg
@@ -96,9 +98,10 @@ type Terminal struct {
 	nextMsgID uint64
 }
 
-type partialKey struct {
-	src, vc int
-	msgID   uint64
+// reassembly is one VC's in-progress message (m is nil between messages).
+type reassembly struct {
+	m     *Message
+	msgID uint64
 }
 
 // NewTerminal creates a terminal and attaches it to router port. node is
@@ -107,8 +110,8 @@ func NewTerminal(s *sim.Simulation, router *Router, port, node, recvBufFlits int
 	t := &Terminal{
 		Node: node, sim: s, router: router, port: port,
 		RecvBufFlits: recvBufFlits,
-		partial:      make(map[partialKey]*Message),
 		sendq:        make([]flitFIFO, router.cfg.VCs),
+		rx:           make([]reassembly, router.cfg.VCs),
 	}
 	t.creditArgs = make([]creditArg, router.cfg.VCs)
 	for v := range t.creditArgs {
@@ -201,20 +204,26 @@ func (t *Terminal) pump() {
 // AcceptFlit implements Link: reassemble and return the credit after one
 // cycle of drain latency.
 func (t *Terminal) AcceptFlit(f *Flit) {
-	key := partialKey{f.SrcNode, f.VC, f.MsgID}
-	m, ok := t.partial[key]
-	if !ok {
-		if !f.Head {
-			panic("er: terminal received body flit with no head")
-		}
+	rx := &t.rx[f.VC]
+	m := rx.m
+	switch {
+	case f.Head && m != nil:
+		panic(fmt.Sprintf("er: terminal %d received a head flit on vc %d while message %d from node %d is open",
+			t.Node, f.VC, rx.msgID, m.SrcNode))
+	case f.Head:
 		m = allocMessage()
 		m.SrcNode, m.DstNode, m.VC = f.SrcNode, f.DstNode, f.VC
-		t.partial[key] = m
+		rx.m, rx.msgID = m, f.MsgID
+	case m == nil:
+		panic("er: terminal received body flit with no head")
+	case f.SrcNode != m.SrcNode || f.MsgID != rx.msgID:
+		panic(fmt.Sprintf("er: terminal %d received a flit of message %d from node %d interleaved into message %d from node %d on vc %d",
+			t.Node, f.MsgID, f.SrcNode, rx.msgID, m.SrcNode, f.VC))
 	}
 	m.Payload = append(m.Payload, f.Data...)
 	tail, vc := f.Tail, f.VC
 	if tail {
-		delete(t.partial, key)
+		rx.m = nil
 		t.router.Stats.MsgsDelivered.Inc()
 		if t.router.msgSpans != nil {
 			sk := spanKey{f.SrcNode, f.VC, f.MsgID}

@@ -46,10 +46,6 @@ func (s NodeState) String() string {
 type Constraints struct {
 	// Count is the number of FPGAs in the component.
 	Count int
-	// SamePod requires all members to share a pod (locality/bandwidth).
-	SamePod bool
-	// Pod restricts placement to one pod (-1 = any).
-	Pod int
 }
 
 // Component is a leased hardware-service instance.
@@ -74,8 +70,6 @@ type FPGAManager struct {
 type RMConfig struct {
 	// HealthPollInterval is the FM status-poll period.
 	HealthPollInterval sim.Time
-	// PodOf maps nodes to pods for locality constraints.
-	PodOf func(NodeID) int
 }
 
 // ResourceManager tracks the global FPGA pool and grants leases.
@@ -123,9 +117,6 @@ type nodeEntry struct {
 func NewResourceManager(s *sim.Simulation, cfg RMConfig) *ResourceManager {
 	if cfg.HealthPollInterval <= 0 {
 		cfg.HealthPollInterval = 100 * sim.Millisecond
-	}
-	if cfg.PodOf == nil {
-		cfg.PodOf = func(NodeID) int { return 0 }
 	}
 	rm := &ResourceManager{
 		sim: s, cfg: cfg,
@@ -184,7 +175,7 @@ func (rm *ResourceManager) Lease(owner, image string, c Constraints, onFailure f
 	if c.Count <= 0 {
 		return nil, fmt.Errorf("haas: component count must be positive")
 	}
-	candidates := rm.freeNodes(c)
+	candidates := rm.freeNodes()
 	if len(candidates) < c.Count {
 		rm.Rejected.Inc()
 		if rm.tracer != nil {
@@ -216,42 +207,16 @@ func (rm *ResourceManager) Lease(owner, image string, c Constraints, onFailure f
 	return comp, nil
 }
 
-// freeNodes lists free nodes satisfying the constraints, deterministically
-// ordered.
-func (rm *ResourceManager) freeNodes(c Constraints) []NodeID {
+// freeNodes lists the free whole-board nodes in ascending ID order.
+func (rm *ResourceManager) freeNodes() []NodeID {
 	var ids []NodeID
-	byPod := make(map[int][]NodeID)
 	for _, e := range rm.nodes {
-		if e.state != NodeFree || e.slots != nil {
-			continue
+		if e.state == NodeFree && e.slots == nil {
+			ids = append(ids, e.id)
 		}
-		pod := rm.cfg.PodOf(e.id)
-		if c.Pod >= 0 && c.Pod != pod && !c.SamePod {
-			continue
-		}
-		if c.Pod >= 0 && c.Pod != pod {
-			continue
-		}
-		ids = append(ids, e.id)
-		byPod[pod] = append(byPod[pod], e.id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	if !c.SamePod {
-		return ids
-	}
-	// Pick the pod with the most free nodes that satisfies Count.
-	bestPod, bestN := -1, -1
-	for pod, list := range byPod {
-		if len(list) > bestN {
-			bestPod, bestN = pod, len(list)
-		}
-	}
-	if bestPod < 0 {
-		return nil
-	}
-	list := byPod[bestPod]
-	sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-	return list
+	return ids
 }
 
 // Release returns a component's nodes to the pool.
@@ -284,7 +249,7 @@ func (rm *ResourceManager) ReplaceNode(leaseID int, failed NodeID, image string)
 	if !ok {
 		return 0, fmt.Errorf("haas: unknown lease %d", leaseID)
 	}
-	candidates := rm.freeNodes(Constraints{Count: 1, Pod: -1})
+	candidates := rm.freeNodes()
 	if len(candidates) == 0 {
 		return 0, fmt.Errorf("haas: no spare FPGAs")
 	}

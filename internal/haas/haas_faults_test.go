@@ -32,7 +32,6 @@ func faultbed(t *testing.T, seed int64, n int, poll sim.Time) (*sim.Simulation, 
 	in := faultinject.New(s)
 	rm := haas.NewResourceManager(s, haas.RMConfig{
 		HealthPollInterval: poll,
-		PodOf:              func(haas.NodeID) int { return 0 },
 	})
 	for i := 0; i < n; i++ {
 		dc.Host(i) // instantiate so the shell is wired NIC<->TOR
@@ -56,7 +55,7 @@ func TestInjectorKillCascadesToReplacement(t *testing.T) {
 	s, in, rm := faultbed(t, 5, 4, 500*sim.Microsecond)
 	defer rm.Stop()
 	sm := haas.NewServiceManager(s, rm, "svc", "img-v1")
-	if err := sm.Scale(2, haas.Constraints{Pod: -1}); err != nil {
+	if err := sm.Scale(2, haas.Constraints{}); err != nil {
 		t.Fatal(err)
 	}
 	victim := sm.Members()[0]
@@ -109,7 +108,7 @@ func TestLinkFlapShortVsLong(t *testing.T) {
 	s, in, rm := faultbed(t, 6, 4, sim.Millisecond)
 	defer rm.Stop()
 	sm := haas.NewServiceManager(s, rm, "svc", "img-v1")
-	if err := sm.Scale(1, haas.Constraints{Pod: -1}); err != nil {
+	if err := sm.Scale(1, haas.Constraints{}); err != nil {
 		t.Fatal(err)
 	}
 	member := sm.Members()[0]

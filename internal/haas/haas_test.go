@@ -8,12 +8,11 @@ import (
 
 // testbed registers n nodes whose health and configured image are
 // tracked in the returned maps.
-func testbed(s *sim.Simulation, n int, podSize int) (*ResourceManager, map[NodeID]*bool, map[NodeID]string) {
+func testbed(s *sim.Simulation, n int) (*ResourceManager, map[NodeID]*bool, map[NodeID]string) {
 	healthy := map[NodeID]*bool{}
 	images := map[NodeID]string{}
 	rm := NewResourceManager(s, RMConfig{
 		HealthPollInterval: 10 * sim.Millisecond,
-		PodOf:              func(id NodeID) int { return int(id) / podSize },
 	})
 	for i := 0; i < n; i++ {
 		id := NodeID(i)
@@ -30,8 +29,8 @@ func testbed(s *sim.Simulation, n int, podSize int) (*ResourceManager, map[NodeI
 
 func TestLeaseAndRelease(t *testing.T) {
 	s := sim.New(1)
-	rm, _, images := testbed(s, 8, 4)
-	comp, err := rm.Lease("svcA", "dnn-v1", Constraints{Count: 3, Pod: -1}, nil)
+	rm, _, images := testbed(s, 8)
+	comp, err := rm.Lease("svcA", "dnn-v1", Constraints{Count: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +57,8 @@ func TestLeaseAndRelease(t *testing.T) {
 
 func TestLeaseInsufficientResources(t *testing.T) {
 	s := sim.New(1)
-	rm, _, _ := testbed(s, 4, 4)
-	if _, err := rm.Lease("big", "x", Constraints{Count: 5, Pod: -1}, nil); err == nil {
+	rm, _, _ := testbed(s, 4)
+	if _, err := rm.Lease("big", "x", Constraints{Count: 5}, nil); err == nil {
 		t.Fatal("oversized lease granted")
 	}
 	if rm.Rejected.Value() != 1 {
@@ -73,12 +72,12 @@ func TestTwoServicesShareThePool(t *testing.T) {
 	// under HaaS. FPGAs are allocated to each service from the Resource
 	// Manager's resource pool."
 	s := sim.New(1)
-	rm, _, images := testbed(s, 12, 6)
-	a, err := rm.Lease("svcA", "rank-v2", Constraints{Count: 4, Pod: -1}, nil)
+	rm, _, images := testbed(s, 12)
+	a, err := rm.Lease("svcA", "rank-v2", Constraints{Count: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := rm.Lease("svcB", "dnn-v1", Constraints{Count: 4, Pod: -1}, nil)
+	b, err := rm.Lease("svcB", "dnn-v1", Constraints{Count: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,42 +99,11 @@ func TestTwoServicesShareThePool(t *testing.T) {
 	rm.Stop()
 }
 
-func TestSamePodConstraint(t *testing.T) {
-	s := sim.New(1)
-	rm, _, _ := testbed(s, 12, 4) // pods of 4
-	comp, err := rm.Lease("local", "x", Constraints{Count: 3, SamePod: true, Pod: -1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pod := int(comp.Nodes[0]) / 4
-	for _, id := range comp.Nodes {
-		if int(id)/4 != pod {
-			t.Fatalf("component spans pods: %v", comp.Nodes)
-		}
-	}
-	rm.Stop()
-}
-
-func TestPodPinning(t *testing.T) {
-	s := sim.New(1)
-	rm, _, _ := testbed(s, 12, 4)
-	comp, err := rm.Lease("pinned", "x", Constraints{Count: 2, Pod: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range comp.Nodes {
-		if int(id)/4 != 2 {
-			t.Fatalf("node %d not in pod 2", id)
-		}
-	}
-	rm.Stop()
-}
-
 func TestFailureDetectionAndNotification(t *testing.T) {
 	s := sim.New(1)
-	rm, healthy, _ := testbed(s, 6, 6)
+	rm, healthy, _ := testbed(s, 6)
 	var failed []NodeID
-	comp, err := rm.Lease("svc", "x", Constraints{Count: 3, Pod: -1},
+	comp, err := rm.Lease("svc", "x", Constraints{Count: 3},
 		func(id NodeID) { failed = append(failed, id) })
 	if err != nil {
 		t.Fatal(err)
@@ -157,8 +125,8 @@ func TestFailureDetectionAndNotification(t *testing.T) {
 
 func TestReplaceNode(t *testing.T) {
 	s := sim.New(1)
-	rm, _, images := testbed(s, 6, 6)
-	comp, _ := rm.Lease("svc", "img", Constraints{Count: 2, Pod: -1}, nil)
+	rm, _, images := testbed(s, 6)
+	comp, _ := rm.Lease("svc", "img", Constraints{Count: 2}, nil)
 	dead := comp.Nodes[0]
 	repl, err := rm.ReplaceNode(comp.LeaseID, dead, "img")
 	if err != nil {
@@ -187,9 +155,9 @@ func TestReplaceNode(t *testing.T) {
 
 func TestServiceManagerLifecycle(t *testing.T) {
 	s := sim.New(1)
-	rm, healthy, _ := testbed(s, 8, 8)
+	rm, healthy, _ := testbed(s, 8)
 	sm := NewServiceManager(s, rm, "ranker", "rank-v1")
-	if err := sm.Scale(4, Constraints{Pod: -1}); err != nil {
+	if err := sm.Scale(4, Constraints{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(sm.Members()) != 4 {
@@ -226,7 +194,7 @@ func TestServiceManagerLifecycle(t *testing.T) {
 		}
 	}
 	// Grow then shrink ("a global manager grows or shrinks the pools").
-	if err := sm.Scale(6, Constraints{Pod: -1}); err != nil {
+	if err := sm.Scale(6, Constraints{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(sm.Members()) != 6 {
@@ -241,7 +209,7 @@ func TestServiceManagerLifecycle(t *testing.T) {
 
 func TestPickOnEmptyService(t *testing.T) {
 	s := sim.New(1)
-	rm, _, _ := testbed(s, 2, 2)
+	rm, _, _ := testbed(s, 2)
 	sm := NewServiceManager(s, rm, "empty", "x")
 	if _, ok := sm.Pick(); ok {
 		t.Fatal("Pick succeeded with no component")
@@ -251,8 +219,8 @@ func TestPickOnEmptyService(t *testing.T) {
 
 func TestInvalidLeaseCount(t *testing.T) {
 	s := sim.New(1)
-	rm, _, _ := testbed(s, 2, 2)
-	if _, err := rm.Lease("z", "x", Constraints{Count: 0, Pod: -1}, nil); err == nil {
+	rm, _, _ := testbed(s, 2)
+	if _, err := rm.Lease("z", "x", Constraints{Count: 0}, nil); err == nil {
 		t.Fatal("zero-count lease granted")
 	}
 	rm.Stop()

@@ -317,7 +317,7 @@ func TestSlottedNodesInvisibleToWholeNodeLease(t *testing.T) {
 	if rm.FreeCount() != 0 {
 		t.Errorf("FreeCount = %d, slotted boards must not count as whole nodes", rm.FreeCount())
 	}
-	if _, err := rm.Lease("svc", "img", Constraints{Count: 1, Pod: -1}, nil); err == nil {
+	if _, err := rm.Lease("svc", "img", Constraints{Count: 1}, nil); err == nil {
 		t.Error("whole-node lease granted from a purely slotted pool")
 	}
 	rm.Stop()

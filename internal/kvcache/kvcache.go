@@ -753,7 +753,6 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 
 	sv.rm = haas.NewResourceManager(s, haas.RMConfig{
 		HealthPollInterval: cfg.RMPoll,
-		PodOf:              func(id haas.NodeID) int { p, _, _ := dc.Locate(int(id)); return p },
 	})
 	sv.in = faultinject.New(s)
 	for _, h := range poolHosts {
@@ -785,7 +784,7 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 
 // lease acquires (or replaces) the shard serving keyspace slice i.
 func (sv *Service) lease(i int) error {
-	comp, err := sv.rm.Lease("kvcache", shardImage, haas.Constraints{Count: 1, Pod: -1},
+	comp, err := sv.rm.Lease("kvcache", shardImage, haas.Constraints{Count: 1},
 		func(haas.NodeID) { sv.failover(i) })
 	if err != nil {
 		return err

@@ -424,7 +424,6 @@ func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*s
 
 	d.rm = haas.NewResourceManager(s, haas.RMConfig{
 		HealthPollInterval: cfg.RMPoll,
-		PodOf:              func(id haas.NodeID) int { p, _, _ := dc.Locate(int(id)); return p },
 	})
 	d.in = faultinject.New(s)
 	for _, h := range poolHosts {
@@ -462,7 +461,7 @@ func (backendRole) HandleRequest(_ shell.RequestSource, _ []byte, respond func([
 // grow leases one backend and adds it to the routing table.
 func (d *Dispatcher) grow() error {
 	var slot *svclb.Slot
-	comp, err := d.rm.Lease("rpcnic", backendImage, haas.Constraints{Count: 1, Pod: -1},
+	comp, err := d.rm.Lease("rpcnic", backendImage, haas.Constraints{Count: 1},
 		func(haas.NodeID) { d.onBackendFailure(slot) })
 	if err != nil {
 		return err

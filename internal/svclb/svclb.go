@@ -414,7 +414,6 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 
 	b.rm = haas.NewResourceManager(s, haas.RMConfig{
 		HealthPollInterval: cfg.RMPoll,
-		PodOf:              func(id haas.NodeID) int { p, _, _ := dc.Locate(int(id)); return p },
 	})
 	b.in = faultinject.New(s)
 	for _, h := range poolHosts {
@@ -768,7 +767,7 @@ func (b *Balancer) onResponse(ci int, sl *Slot, reqID uint64) {
 // grow leases one more FPGA and wires it into the pool.
 func (b *Balancer) grow() error {
 	var lid int
-	comp, err := b.rm.Lease("svclb", serviceImage, haas.Constraints{Count: 1, Pod: -1},
+	comp, err := b.rm.Lease("svclb", serviceImage, haas.Constraints{Count: 1},
 		func(dead haas.NodeID) { b.onNodeFailure(lid, dead) })
 	if err != nil {
 		return err

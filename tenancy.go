@@ -104,7 +104,6 @@ func tenancyPool(seed int64, boards int, telemetry bool) (*sim.Simulation, *haas
 	dc := netsim.NewDatacenter(s, topo)
 	rm := haas.NewResourceManager(s, haas.RMConfig{
 		HealthPollInterval: 5 * sim.Millisecond,
-		PodOf:              func(id haas.NodeID) int { p, _, _ := dc.Locate(int(id)); return p },
 	})
 	for i := 0; i < boards; i++ {
 		dc.Host(i)
