@@ -277,7 +277,7 @@ func TestShardedScaleDeterminism(t *testing.T) {
 	ping.BackgroundUtil = 0.01
 	checkShardedDeterminism(t, []shardedCase{
 		{"scale", shardedPoint(16, 3*Millisecond, ping), 0x045264282139d999,
-			"d64b5a50ea96b7a56bbe401ea87bf037d1272b78bdc4468d61472a73e5b34767"},
+			"984929ce95877e6f7ac1778fc38e7b62ab78885379977f89f7ec36bd1c544d18"},
 	})
 }
 
@@ -290,14 +290,14 @@ func TestNetsvcScaleDeterminism(t *testing.T) {
 	mget.MGetBatch = 4
 	checkShardedDeterminism(t, []shardedCase{
 		{"netsvc", shardedPoint(18, 6*Millisecond, kv), 0x427f71d71f34996c,
-			"371cc6796fecfe3184caea5ccf215aada3f892e795535326f70e9d3750da3656"},
+			"393c496a4cfa648bdcc4c72578cdd9acaad9546b8a4f6b9a0de4aa97883235e9"},
 		// Equal to the base netsvc case: 256 keys never fill the 1024x4
 		// store, so the cuckoo directory never kicks. The case stays so a
 		// change to the cuckoo path that leaks into this workload shows.
 		{"netsvc+cuckoo", shardedPoint(18, 6*Millisecond, cuckoo), 0x427f71d71f34996c,
-			"371cc6796fecfe3184caea5ccf215aada3f892e795535326f70e9d3750da3656"},
+			"393c496a4cfa648bdcc4c72578cdd9acaad9546b8a4f6b9a0de4aa97883235e9"},
 		{"netsvc+mget4", shardedPoint(18, 6*Millisecond, mget), 0x8375c29437f42720,
-			"ba70d6e6bec7840c0f4a686e52c8e142ec3137454cb77b377a690f7813af930b"},
+			"6a21127b38054f31feb69df7c70d996783dc467dc24e9ee30b115be3d7ed6843"},
 	})
 }
 
@@ -308,7 +308,7 @@ func TestTenancyScaleDeterminism(t *testing.T) {
 	tenants.RequestsPerClient = 30
 	checkShardedDeterminism(t, []shardedCase{
 		{"tenancy", shardedPoint(19, 16*Millisecond, tenants), 0xe2d4ae3aa2cb7514,
-			"f4703e11a25432bad3a141b9f413992199b5c510ca775cc9a618b360615218e9"},
+			"6fae5706e630dd9df397e61bb3e58996ac7ce7df1dc1ae80d3c98ecba199977e"},
 	})
 }
 

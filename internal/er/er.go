@@ -93,9 +93,12 @@ type Config struct {
 	Elastic bool
 	// ClockPeriod is one router cycle (default 6.4ns, 156.25 MHz per Fig. 5).
 	ClockPeriod sim.Time
-	// Route maps a destination node to a local output port (-1 to drop).
-	// It must be a pure function of dstNode: the router evaluates it once
-	// per packet, when the head flit reaches the front of its input FIFO.
+	// Route maps a destination node to a local output port (nil routes
+	// node n to port n). It must be a pure function of dstNode: the router
+	// evaluates it once per packet, when the head flit reaches the front
+	// of its input FIFO. A route outside [0, Ports) or to a port with no
+	// attachment panics: the router has no drop path, and such a head
+	// would block its VC forever.
 	Route func(dstNode int) int
 }
 
@@ -311,7 +314,7 @@ func New(s *sim.Simulation, cfg Config) *Router {
 		reg.Counter("er.msgs_delivered", "msgs", "er", "messages fully reassembled", &r.Stats.MsgsDelivered)
 		reg.Counter("er.stall_no_credit", "events", "er", "output stalls awaiting downstream credit", &r.Stats.StallNoCredit)
 		reg.Counter("er.stall_conflict", "events", "er", "lost switch-arbitration attempts", &r.Stats.StallConflict)
-		reg.Counter("er.cycles", "cycles", "er", "active arbitration cycles", &r.Stats.Cycles)
+		reg.Counter("er.cycles", "cycles", "er", "switch-allocator ticks, including credit-return wake-ups that find every input empty", &r.Stats.Cycles)
 		reg.Gauge("er.buf_occupancy", "flits", "er", "flits buffered across inputs", &r.Stats.BufOccupancy)
 	}
 	for i := 0; i < cfg.Ports; i++ {
@@ -419,6 +422,7 @@ func (r *Router) wake() {
 
 // headRoute returns the output for the flit at the front of ivc: its
 // packet's bound output, or, for a new packet's head, Route(DstNode).
+// A misroute panics, like credit underflow: it is a wiring bug, not load.
 func (r *Router) headRoute(ivc *inputVC) int {
 	if ivc.boundOut != -1 {
 		return ivc.boundOut
@@ -427,10 +431,15 @@ func (r *Router) headRoute(ivc *inputVC) int {
 	if !head.Head {
 		panic("er: body flit with no route binding")
 	}
+	o := head.DstNode
 	if r.cfg.Route != nil {
-		return r.cfg.Route(head.DstNode)
+		o = r.cfg.Route(head.DstNode)
 	}
-	return head.DstNode
+	if o < 0 || o >= len(r.outputs) || r.outputs[o].peer == nil {
+		panic(fmt.Sprintf("er %s: node %d routed to output %d (out of range or unattached)",
+			r.cfg.Name, head.DstNode, o))
+	}
+	return o
 }
 
 // tick performs one switch-allocation cycle: for every output port, pick

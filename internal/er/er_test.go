@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -302,6 +303,42 @@ func TestSendInvalidVCPanics(t *testing.T) {
 		}
 	}()
 	terms[0].Send(1, 7, []byte("x"))
+}
+
+// The router has no drop path: a head routed off the router, or to a
+// port with nothing attached, would block its VC forever, so routing it
+// panics with the router, node and route.
+func TestMisroutePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		route func(int) int
+		ports int // ports with a terminal attached
+		want  string
+	}{
+		{"negative", func(int) int { return -1 }, 4, "er r: node 2 routed to output -1"},
+		{"out of range", func(int) int { return 4 }, 4, "er r: node 2 routed to output 4"},
+		{"unattached", nil, 2, "er r: node 2 routed to output 2"},
+	} {
+		func() {
+			s := sim.New(1)
+			cfg := DefaultConfig()
+			cfg.Name = "r"
+			cfg.Route = tc.route
+			r := New(s, cfg)
+			var terms []*Terminal
+			for p := 0; p < tc.ports; p++ {
+				terms = append(terms, NewTerminal(s, r, p, p, 4*cfg.VCs))
+			}
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, tc.want) {
+					t.Errorf("%s: panic %q, want prefix %q", tc.name, msg, tc.want)
+				}
+			}()
+			terms[0].Send(2, 0, []byte("x"))
+			s.RunFor(sim.Microsecond)
+		}()
+	}
 }
 
 // A terminal reassembles one message per VC at a time; a flit that would

@@ -141,9 +141,13 @@ type Config struct {
 
 	// Dilation is virtual nanoseconds advanced per wall nanosecond in
 	// real-time mode (default 1.0; >1 runs the sim clock faster than
-	// wall). TickWall is the pacing granularity (default 200µs wall).
+	// wall). TickWall (default 200µs wall) is the cadence at which an
+	// idle real-time frontend advances its clock: idle means no request
+	// outstanding and the clock less than 1ms virtual behind. Otherwise
+	// the clock advances back to back, and a request arriving between
+	// ticks first catches it up (DESIGN §6.8).
 	Dilation float64
-	TickWall int64 // wall ns per pacing tick
+	TickWall int64 // wall ns between idle advances
 
 	// BackgroundLoad is other tenants' lossless traffic (fabric noise).
 	BackgroundLoad float64

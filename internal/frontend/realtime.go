@@ -10,11 +10,19 @@ import (
 
 // rtDriver paces the virtual clock against the wall clock. One
 // goroutine owns the simulation: it advances virtual time toward
-// target() (wall elapsed × dilation) on every pacing tick and executes
-// injection closures sent by HTTP handler goroutines in between. The
-// metrics registry and the balancers are therefore only ever touched
-// from that goroutine — the same single-threaded discipline the replay
-// driver gets from its script lock.
+// target() (wall elapsed × dilation) and executes injection closures
+// sent by HTTP handler goroutines in between. The metrics registry and
+// the balancers are therefore only ever touched from that goroutine —
+// the same single-threaded discipline the replay driver gets from its
+// script lock.
+//
+// The loop advances back to back only while it has something to pace:
+// a request is outstanding (its response must leave at its paced time,
+// and a Go timer cannot wake at sub-millisecond precision), or the clock
+// trails by a whole rtSlice or more. Otherwise it blocks until a task,
+// a TickWall tick or quit; a task that wakes it first catches the clock
+// up to the target, so its injection sees the lag continuous pacing
+// would have left (DESIGN §6.8).
 //
 // When injections outpace the simulator, virtual time trails the wall
 // clock; that lag is measured at each injection and charged against the
@@ -32,6 +40,9 @@ type rtDriver struct {
 
 	mu     sync.Mutex
 	closed bool
+
+	// advances counts RunUntil calls made by the loop (sim thread).
+	advances uint64
 }
 
 func newRTDriver(f *Service) *rtDriver {
@@ -84,10 +95,11 @@ func (d *rtDriver) loop() {
 			return
 		default:
 		}
-		if d.f.s.Now() >= d.target() {
-			// Caught up: block until traffic, the next tick, or quit.
+		if d.idle() {
+			// Nothing to pace: block until traffic, the next tick, or quit.
 			select {
 			case fn := <-d.tasks:
+				d.catchUp()
 				fn()
 				continue
 			case <-tick.C:
@@ -100,6 +112,25 @@ func (d *rtDriver) loop() {
 	}
 }
 
+// idle reports whether the loop may block (sim thread): the clock is
+// caught up, or no request is outstanding and it trails by less than one
+// rtSlice. A clock a whole slice behind keeps advancing slice by slice,
+// so a fallen-behind frontend cannot hide its backlog in one catch-up.
+func (d *rtDriver) idle() bool {
+	lag := d.target() - d.f.s.Now()
+	return lag <= 0 || (lag < rtSlice && d.f.outstanding() == 0)
+}
+
+// catchUp runs the clock to the paced target in rtSlice steps (sim
+// thread). The loop blocks at most about one TickWall, so this covers
+// that much virtual time times the dilation, plus less than one slice.
+func (d *rtDriver) catchUp() {
+	tgt := d.target()
+	for now := d.f.s.Now(); now < tgt; now = d.f.s.Now() {
+		d.runUntil(min(tgt, now+rtSlice))
+	}
+}
+
 // advance runs the simulation toward the paced target, at most rtSlice
 // per call.
 func (d *rtDriver) advance() {
@@ -108,14 +139,16 @@ func (d *rtDriver) advance() {
 	if tgt <= now {
 		return
 	}
-	if lim := now + rtSlice; tgt > lim {
-		tgt = lim
-	}
-	d.f.s.RunUntil(tgt)
+	d.runUntil(min(tgt, now+rtSlice))
 	// A fallen-behind loop advances back to back and would otherwise
 	// monopolize a single-core scheduler; yield so handler goroutines can
 	// enqueue (and answer) between slices.
 	runtime.Gosched()
+}
+
+func (d *rtDriver) runUntil(t sim.Time) {
+	d.f.s.RunUntil(t)
+	d.advances++
 }
 
 // shutdown drains queued tasks, then virtual time, then stops the pools
